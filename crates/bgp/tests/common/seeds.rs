@@ -14,5 +14,6 @@ rtbh_testkit::seed_table! {
         PROP_WIRE_ANNOUNCE = 0x4247_505f_5052_4f54,
         PROP_WIRE_LOG = 0x4247_505f_5052_4f55,
         PROP_WIRE_GARBAGE = 0x4247_505f_5052_4f56,
+        PROP_INTERVAL_PRECONDITION = 0x4247_505f_5052_4f57,
     }
 }

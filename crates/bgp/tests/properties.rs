@@ -147,6 +147,62 @@ fn interval_reconstruction_invariants() {
     }
 }
 
+/// The clock-offset kernel's precondition: for any update log,
+/// `blackhole_intervals` yields per prefix a sorted list of disjoint,
+/// non-empty intervals. Logs mix withdraw + re-announce in the same
+/// millisecond, duplicate announces, withdraws with no announce and
+/// announces left open to `corpus_end`.
+#[test]
+fn blackhole_intervals_are_sorted_disjoint_non_empty() {
+    let mut rng = rng(seeds::PROP_INTERVAL_PRECONDITION);
+    let (mut touching, mut open_to_end) = (0, 0);
+    for _ in 0..CASES {
+        let prefixes: Vec<Prefix> = (0..rng.gen_range(1usize..4))
+            .map(|_| arb_prefix(&mut rng))
+            .collect();
+        let mut updates = Vec::new();
+        let mut t = 0i64;
+        for _ in 0..rng.gen_range(0usize..40) {
+            // Same-millisecond updates are common.
+            if rng.gen_bool(0.7) {
+                t += rng.gen_range(1i64..5_000);
+            }
+            let prefix = prefixes[rng.gen_range(0..prefixes.len())];
+            let kind = if rng.gen_bool(0.55) {
+                UpdateKind::Announce
+            } else {
+                UpdateKind::Withdraw
+            };
+            let mut u = update(0, prefix, kind);
+            u.at = Timestamp::from_millis(t);
+            if kind == UpdateKind::Announce && rng.gen_bool(0.1) {
+                u.communities.clear();
+            }
+            let reannounce = kind == UpdateKind::Withdraw && rng.gen_bool(0.3);
+            updates.push(u.clone());
+            if reannounce {
+                u.kind = UpdateKind::Announce;
+                updates.push(u);
+            }
+        }
+        let corpus_end = Timestamp::from_millis(t + rng.gen_range(-5_000i64..5_000));
+        let log = UpdateLog::from_updates(updates);
+        for ivs in blackhole_intervals(log.updates().iter(), corpus_end).values() {
+            assert!(!ivs.is_empty(), "a listed prefix has an interval");
+            for iv in ivs {
+                assert!(iv.start < iv.end, "empty interval {iv:?}");
+                open_to_end += usize::from(iv.end == corpus_end);
+            }
+            for w in ivs.windows(2) {
+                assert!(w[0].end <= w[1].start, "unsorted or overlapping: {w:?}");
+                touching += usize::from(w[0].end == w[1].start);
+            }
+        }
+    }
+    assert!(touching > 0, "no withdraw + re-announce in one millisecond");
+    assert!(open_to_end > 0, "no interval left open to corpus_end");
+}
+
 /// A RIB that accepted a blackhole always reverts on withdraw, and a RIB
 /// that rejected it is never affected.
 #[test]

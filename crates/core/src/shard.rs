@@ -1,7 +1,7 @@
 //! Chunk-parallel scaffold for the sample-scan kernels.
 //!
 //! PR 1 parallelized the pipeline *across* stages; the remaining hot loops
-//! iterate over one big slice (the flow log, an offset grid) doing
+//! iterate over one big slice (the flow log) doing
 //! independent per-element work. This module is the small harness those
 //! kernels share: split the slice into contiguous chunks, run one chunk per
 //! scoped worker thread ([`std::thread::scope`] — no extra dependency), and

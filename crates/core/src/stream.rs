@@ -9,8 +9,9 @@
 //! * incremental per-prefix blackhole *runs* (the streaming counterpart of
 //!   batch Δ-merged [`RtbhEvent`](crate::events::RtbhEvent)s) with EWMA
 //!   anomaly backfill over the ring at run start;
-//! * a watermark-based [`OffsetTracker`] that sharpens the clock-offset
-//!   estimate with every dropped sample instead of one global scan;
+//! * an [`OffsetTracker`] that sharpens the clock-offset estimate with
+//!   every dropped sample, voting into the same kernel batch alignment
+//!   shards over workers;
 //! * continuous emission of per-prefix RTBH verdicts (anomaly-backed /
 //!   zombie / squatting) as a journaled event log ([`VerdictRecord`]).
 //!
@@ -55,7 +56,7 @@ use rtbh_fabric::{FlowLog, FlowSample};
 use rtbh_net::{
     Asn, Interval, Ipv4Addr, MacAddr, Prefix, PrefixTrie, Protocol, TimeDelta, Timestamp,
 };
-use rtbh_stats::EwmaDetector;
+use rtbh_stats::{EwmaDetector, OffsetVotes};
 
 use crate::classify::UseCase;
 use crate::clean::CleanReport;
@@ -179,90 +180,52 @@ struct PrefixState {
 
 /// Incremental clock-offset tracker over dropped samples.
 ///
-/// The batch estimator ([`crate::align`]) scans the whole corpus once: for
-/// every dropped sample it votes for every grid offset that would move the
-/// sample *inside* a blackhole interval of its covering prefix, and takes
-/// the argmax. This tracker maintains the same vote histogram
-/// incrementally as a difference array over the offset grid — each dropped
-/// sample contributes one `O(1)` range update for the covering prefix's
-/// most recent activity interval — so a live estimate is available at any
-/// watermark, not only at end of corpus.
+/// A thin wrapper over the batch estimator's kernel ([`crate::align`]):
+/// every dropped sample votes into an [`OffsetVotes`] array for the grid
+/// offsets that would move it inside its covering prefix's most recent
+/// activity interval, so a live estimate, with the batch tie rule, is
+/// available at any watermark rather than only at end of corpus.
 ///
-/// The estimate is **live observability only**: the finalizer re-runs the
-/// batch scan over the full accumulated log, so streaming and batch
+/// The estimate is **live observability only**: the finalizer aligns the
+/// full accumulated log with the batch estimator, so streaming and batch
 /// reports stay byte-identical regardless of what this tracker converged
 /// to mid-stream.
 #[derive(Debug, Clone)]
 pub struct OffsetTracker {
-    half_range_ms: i64,
-    step_ms: i64,
-    /// Difference array: `diff[i] - diff[i+1]` bracketing per-offset votes;
-    /// `n_offsets + 1` entries.
-    diff: Vec<i64>,
-    dropped_seen: u64,
+    votes: OffsetVotes,
+    dropped_seen: usize,
 }
 
 impl OffsetTracker {
     fn new(half_range: TimeDelta, step: TimeDelta) -> Self {
-        let half_range_ms = half_range.as_millis().max(0);
-        let step_ms = step.as_millis().max(1);
-        let n = (2 * half_range_ms / step_ms) as usize + 1;
         Self {
-            half_range_ms,
-            step_ms,
-            diff: vec![0; n + 1],
+            votes: OffsetVotes::new(
+                half_range.max(TimeDelta::ZERO),
+                step.max(TimeDelta::millis(1)),
+            )
+            .expect("clamped offset grid is valid"),
             dropped_seen: 0,
         }
     }
 
-    /// Grid offsets tracked.
-    pub fn offsets(&self) -> usize {
-        self.diff.len() - 1
-    }
-
     /// Dropped samples observed so far.
     pub fn dropped_seen(&self) -> u64 {
-        self.dropped_seen
+        self.dropped_seen as u64
     }
 
-    /// Votes for every offset δ that moves a dropped sample at `t_ms`
-    /// inside the half-open activity interval `[a_ms, b_ms)`:
-    /// δ ∈ `[a_ms - t_ms, b_ms - t_ms)`, clipped to the grid.
-    fn observe(&mut self, t_ms: i64, a_ms: i64, b_ms: i64) {
+    /// Votes for every grid offset that moves a dropped sample at `at`
+    /// inside `interval`.
+    fn observe(&mut self, at: Timestamp, interval: Interval) {
         self.dropped_seen += 1;
-        let n = self.offsets() as i64;
-        // Smallest grid index with -H + i*S >= lo  →  ceil((lo + H) / S).
-        let ceil_div = |a: i64, b: i64| (a + b - 1).div_euclid(b);
-        let lo = ceil_div(a_ms - t_ms + self.half_range_ms, self.step_ms).clamp(0, n);
-        let hi = ceil_div(
-            b_ms.saturating_sub(t_ms).saturating_add(self.half_range_ms),
-            self.step_ms,
-        )
-        .clamp(0, n);
-        if lo < hi {
-            self.diff[lo as usize] += 1;
-            self.diff[hi as usize] -= 1;
-        }
+        self.votes.vote(at, &[interval]);
     }
 
     /// The current maximum-likelihood offset: the grid offset with the
-    /// most votes (smallest offset on ties, like the batch scan). `None`
-    /// until a dropped sample has been observed.
+    /// most votes, ties broken like the batch scan
+    /// ([`OffsetScan::best`](rtbh_stats::OffsetScan::best)). `None` until
+    /// a dropped sample has been observed.
     pub fn estimate(&self) -> Option<TimeDelta> {
-        if self.dropped_seen == 0 {
-            return None;
-        }
-        let mut best = (i64::MIN, 0usize);
-        let mut acc = 0i64;
-        for (i, d) in self.diff[..self.offsets()].iter().enumerate() {
-            acc += d;
-            if acc > best.0 {
-                best = (acc, i);
-            }
-        }
-        Some(TimeDelta::millis(
-            -self.half_range_ms + best.1 as i64 * self.step_ms,
-        ))
+        Some(self.votes.scan(self.dropped_seen)?.best.offset)
     }
 }
 
@@ -645,15 +608,12 @@ impl StreamAnalyzer {
             }
             if s.is_dropped() {
                 let st = &self.state[id];
-                let interval_ms = match st.open_since {
-                    Some(t0) => Some((t0.as_millis(), i64::MAX)),
-                    None => st
-                        .spans
-                        .last()
-                        .map(|iv| (iv.start.as_millis(), iv.end.as_millis())),
+                let interval = match st.open_since {
+                    Some(t0) => Some(Interval::new(t0, Timestamp::from_millis(i64::MAX))),
+                    None => st.spans.last().copied(),
                 };
-                if let Some((a, b)) = interval_ms {
-                    self.offset.observe(s.at.as_millis(), a, b);
+                if let Some(interval) = interval {
+                    self.offset.observe(s.at, interval);
                 }
             }
         }
@@ -1315,10 +1275,49 @@ mod tests {
         // the data-plane clock runs 500 ms early, so +500 ms wins.
         for k in 0..20i64 {
             let open = 1_000_000 + k * 10_000;
-            tracker.observe(open - 500, open, open + 5_000);
+            tracker.observe(
+                Timestamp::from_millis(open - 500),
+                Interval::new(
+                    Timestamp::from_millis(open),
+                    Timestamp::from_millis(open + 5_000),
+                ),
+            );
         }
         assert_eq!(tracker.estimate(), Some(TimeDelta::millis(500)));
         assert_eq!(tracker.dropped_seen(), 20);
+    }
+
+    /// Feeds one sample at t = 10 s per `(a, b)` interval, given in ms
+    /// relative to t, into a tracker over -50..=50 ms in 10 ms steps.
+    fn tracker_estimate(relative: &[(i64, i64)]) -> Option<TimeDelta> {
+        let mut tracker = OffsetTracker::new(TimeDelta::millis(50), TimeDelta::millis(10));
+        let t = 10_000;
+        for &(a, b) in relative {
+            tracker.observe(
+                Timestamp::from_millis(t),
+                Interval::new(Timestamp::from_millis(t + a), Timestamp::from_millis(t + b)),
+            );
+        }
+        tracker.estimate()
+    }
+
+    #[test]
+    fn offset_tracker_plateau_picks_the_smallest_magnitude() {
+        // Votes for -30, -20 and -10 ms only.
+        assert_eq!(tracker_estimate(&[(-30, -5)]), Some(TimeDelta::millis(-10)));
+    }
+
+    #[test]
+    fn offset_tracker_symmetric_plateau_picks_zero() {
+        assert_eq!(tracker_estimate(&[(-20, 25)]), Some(TimeDelta::ZERO));
+    }
+
+    #[test]
+    fn offset_tracker_plus_minus_tie_picks_the_positive_offset() {
+        assert_eq!(
+            tracker_estimate(&[(-10, -5), (10, 15)]),
+            Some(TimeDelta::millis(10))
+        );
     }
 
     #[test]

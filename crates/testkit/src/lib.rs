@@ -18,7 +18,8 @@
 //!   these ask "does every *valid* value round-trip exactly?".
 //! * [`oracle`] — differential oracles: encode→decode→encode equality for
 //!   the wire codecs, parse→write→parse fixpoints for JSON, and
-//!   `FrozenLpm`-vs-`PrefixTrie` lookup equivalence.
+//!   `FrozenLpm`-vs-`PrefixTrie` lookup equivalence; [`offset`] keeps the
+//!   naive clock-offset grid scan that the shipped vote kernel is held to.
 //!
 //! Plus [`streamgen`] — interleaved update/sample event feeds with
 //! adversarial orderings (bounded out-of-order arrivals, duplicates,
@@ -37,6 +38,7 @@
 pub mod driver;
 pub mod gen;
 pub mod mutate;
+pub mod offset;
 pub mod oracle;
 pub mod seeds;
 pub mod snapshot;
