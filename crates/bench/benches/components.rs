@@ -11,8 +11,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rtbh_core::columns::ColumnarFlows;
 use rtbh_core::events::infer_events;
-use rtbh_core::index::SampleIndex;
+use rtbh_core::index::{MacResolver, OriginTable, SampleIndex};
 use rtbh_core::preevent::{analyze_preevents, PreEventConfig};
 use rtbh_core::Analyzer;
 use rtbh_net::{Ipv4Addr, Prefix, PrefixTrie, TimeDelta};
@@ -86,22 +87,37 @@ fn bench_event_inference(out: &rtbh_sim::SimOutput) {
     });
 }
 
+/// The pipeline's index build: bucketing the enriched prefix-id columns.
+/// Each iteration also clones the blackhole LPM the build takes by value.
 fn bench_sample_index(out: &rtbh_sim::SimOutput) {
+    let corpus = &out.corpus;
+    let enriched = ColumnarFlows::build_enriched(
+        &corpus.updates,
+        &corpus.flows,
+        &MacResolver::build(corpus),
+        &OriginTable::build(&corpus.routes),
+        corpus.period.end,
+        1,
+    );
     bench("sample_index_build_tiny_corpus", 3, 30, || {
-        SampleIndex::build(&out.corpus.updates, &out.corpus.flows)
+        SampleIndex::from_columns(
+            enriched.blackholes.clone(),
+            enriched.blackhole_prefixes.clone(),
+            &enriched.columns,
+            1,
+        )
     });
 }
 
 fn bench_preevents(out: &rtbh_sim::SimOutput) {
-    let events = infer_events(
-        &out.corpus.updates,
-        TimeDelta::minutes(10),
-        out.corpus.period.end,
-    );
-    let index = SampleIndex::build(&out.corpus.updates, &out.corpus.flows);
-    let cols = rtbh_core::columns::ColumnarFlows::from_log(&out.corpus.flows);
+    let analyzer = Analyzer::with_defaults(out.corpus.clone());
     bench("preevent_ewma_analysis_tiny_corpus", 3, 30, || {
-        analyze_preevents(&events, &index, &cols, &PreEventConfig::PAPER)
+        analyze_preevents(
+            analyzer.events(),
+            analyzer.index(),
+            analyzer.columns(),
+            &PreEventConfig::PAPER,
+        )
     });
 }
 

@@ -222,8 +222,7 @@ fn main() {
                 idx.lookup_speedup, idx.lookups_identical
             )
             .expect("write stdout");
-            writeln!(stdout, "index build (SampleIndex::build_with_workers):")
-                .expect("write stdout");
+            writeln!(stdout, "index build (SampleIndex::from_columns):").expect("write stdout");
             for b in &idx.builds {
                 writeln!(
                     stdout,

@@ -8,8 +8,9 @@
 //!    per flow sample)? Both structures are probed with identical inputs and
 //!    their answers are cross-checked on every sample first — a fast-but-
 //!    wrong table would fail the bench, not win it.
-//! 2. **Build**: how does [`SampleIndex::build_with_workers`] scale from one
-//!    worker to all cores, in samples per second?
+//! 2. **Build**: how does the pipeline's index build
+//!    ([`SampleIndex::from_columns`] over the enriched sealed chunks) scale
+//!    from one worker to all cores, in samples per second?
 //!
 //! Regenerate with `scripts/bench_pipeline.sh` or directly:
 //!
@@ -20,7 +21,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rtbh_core::index::SampleIndex;
+use rtbh_core::columns::ColumnarFlows;
+use rtbh_core::index::{MacResolver, OriginTable, SampleIndex};
 use rtbh_net::{FrozenLpm, PrefixTrie};
 use rtbh_sim::ScenarioConfig;
 
@@ -37,10 +39,10 @@ pub struct LookupTiming {
     pub ns_per_lookup: f64,
 }
 
-/// Best-of-reps timing of one [`SampleIndex::build_with_workers`] call.
+/// Best-of-reps timing of one [`SampleIndex::from_columns`] call.
 #[derive(Debug, Clone)]
 pub struct BuildTiming {
-    /// Worker threads the sample scan was sharded over.
+    /// Worker threads the chunk scan was sharded over.
     pub workers: usize,
     /// Best (lowest) wall time, in nanoseconds.
     pub best_wall_ns: u64,
@@ -139,15 +141,30 @@ pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
     let mut worker_counts = vec![1, 2, cores];
     worker_counts.sort_unstable();
     worker_counts.dedup();
+    // The enrichment pass that writes the prefix-id columns runs once,
+    // untimed: the pipeline times it as its own `enrich` stage.
+    let enriched = ColumnarFlows::build_enriched(
+        updates,
+        &out.corpus.flows,
+        &MacResolver::build(&out.corpus),
+        &OriginTable::build(&out.corpus.routes),
+        out.corpus.period.end,
+        cores,
+    );
     let mut builds = Vec::new();
     let mut one_worker_wall = 0u64;
     for &workers in &worker_counts {
         let mut best = u64::MAX;
         for _ in 0..reps {
+            let (lpm, prefixes) = (
+                enriched.blackholes.clone(),
+                enriched.blackhole_prefixes.clone(),
+            );
             let t0 = Instant::now();
-            black_box(SampleIndex::build_with_workers(
-                updates,
-                &out.corpus.flows,
+            black_box(SampleIndex::from_columns(
+                lpm,
+                prefixes,
+                &enriched.columns,
                 workers,
             ));
             best = best.min(t0.elapsed().as_nanos() as u64);

@@ -6,30 +6,30 @@
 //! that ever appeared in a blackhole announcement, per-prefix time-sorted
 //! sample lists, and a prefix→origin table from the route-server snapshot.
 //!
-//! The per-sample scan is the pipeline's hottest loop (two LPM lookups per
-//! sample over a table dominated by `/32`s), so [`SampleIndex::build`]
-//! first compiles the mutable [`PrefixTrie`] into a cache-friendly
-//! [`FrozenLpm`] and then shards the flow log over worker threads
-//! ([`crate::shard`]), merging per-chunk results in chunk order so the
-//! time-sorted invariant — and byte-identical output for every worker
-//! count — is preserved.
+//! The two LPM walks per sample happen once, in the enrichment pass that
+//! builds [`crate::columns::ColumnarFlows`]; [`SampleIndex::from_columns`]
+//! only buckets the precomputed prefix-id columns, sharded over worker
+//! threads ([`crate::shard`]) and merged in chunk order so the time-sorted
+//! invariant — and byte-identical output for every worker count — is
+//! preserved.
 
 use std::collections::BTreeMap;
 
 use rtbh_bgp::UpdateLog;
-use rtbh_fabric::{FlowLog, FlowSample};
+use rtbh_fabric::FlowSample;
 use rtbh_net::{Asn, FrozenLpm, Ipv4Addr, Prefix, PrefixTrie};
 
 use crate::shard;
 
-/// Index over a flow log keyed by the blackholed prefixes of a corpus.
+/// Index over the columnar sample store keyed by the blackholed prefixes of
+/// a corpus.
 pub struct SampleIndex {
     /// Frozen LPM index over every prefix that ever carried a blackhole
     /// announcement; the payload is the dense prefix id.
     lpm: FrozenLpm<usize>,
     /// Dense id → prefix.
     prefixes: Vec<Prefix>,
-    /// Per prefix id: indices (into the flow log) of samples *towards* the
+    /// Per prefix id: indices (into the columnar store) of samples *towards* the
     /// prefix (matched by longest prefix), time-sorted.
     towards: Vec<Vec<u32>>,
     /// Per prefix id: indices of samples *from* addresses inside the prefix.
@@ -37,57 +37,6 @@ pub struct SampleIndex {
 }
 
 impl SampleIndex {
-    /// Builds the index from the update log's blackholed prefixes and a
-    /// cleaned flow log, on the calling thread.
-    pub fn build(updates: &UpdateLog, flows: &FlowLog) -> Self {
-        Self::build_with_workers(updates, flows, 1)
-    }
-
-    /// [`SampleIndex::build`] with the sample scan sharded over `workers`
-    /// scoped threads (`0` = one per available core).
-    ///
-    /// Each chunk of the time-sorted flow log produces its own per-prefix
-    /// `towards`/`from` vectors; chunks are merged in chunk order, so the
-    /// concatenated lists stay sorted by sample index (= capture time) and
-    /// the result is identical for every worker count.
-    pub fn build_with_workers(updates: &UpdateLog, flows: &FlowLog, workers: usize) -> Self {
-        let (lpm, prefixes) = compile_blackhole_prefixes(updates);
-
-        let n = prefixes.len();
-        let workers = shard::resolve_workers(workers);
-        let partials = shard::map_chunks(flows.samples(), workers, |start, chunk| {
-            let mut towards = vec![Vec::new(); n];
-            let mut from = vec![Vec::new(); n];
-            for (i, s) in chunk.iter().enumerate() {
-                let sample = (start + i) as u32;
-                if let Some((_, &id)) = lpm.longest_match(s.dst_ip) {
-                    towards[id].push(sample);
-                }
-                if let Some((_, &id)) = lpm.longest_match(s.src_ip) {
-                    from[id].push(sample);
-                }
-            }
-            (towards, from)
-        });
-
-        let mut towards = vec![Vec::new(); n];
-        let mut from = vec![Vec::new(); n];
-        for (chunk_towards, chunk_from) in partials {
-            for (id, mut ids) in chunk_towards.into_iter().enumerate() {
-                towards[id].append(&mut ids);
-            }
-            for (id, mut ids) in chunk_from.into_iter().enumerate() {
-                from[id].append(&mut ids);
-            }
-        }
-        Self {
-            lpm,
-            prefixes,
-            towards,
-            from,
-        }
-    }
-
     /// Builds the index from prefix-id columns the enrichment pass already
     /// computed ([`crate::columns::ColumnarFlows`]), skipping the two
     /// per-sample LPM walks entirely: each worker only buckets the
@@ -97,9 +46,9 @@ impl SampleIndex {
     /// (see `compile_blackhole_prefixes` via
     /// [`crate::columns::ColumnarFlows::build_enriched`]), so the dense ids
     /// line up. Workers bucket whole sealed chunks and the partials merge
-    /// in chunk order — byte-identical to
-    /// [`SampleIndex::build_with_workers`] for every worker count and every
-    /// chunk capacity.
+    /// in chunk order, so the result is the same for every worker count and
+    /// every chunk capacity — and equal to a per-sample LPM scan of the
+    /// flow log (the `index_diff` suite holds it to that oracle).
     pub fn from_columns(
         lpm: FrozenLpm<usize>,
         prefixes: Vec<Prefix>,
@@ -181,16 +130,6 @@ impl SampleIndex {
                 None => 0,
             })
             .sum()
-    }
-
-    /// Resolves sample indices to samples.
-    pub fn resolve<'a>(
-        &self,
-        flows: &'a FlowLog,
-        ids: &'a [u32],
-    ) -> impl Iterator<Item = &'a FlowSample> + 'a {
-        let samples = flows.samples();
-        ids.iter().map(move |&i| &samples[i as usize])
     }
 }
 
@@ -306,8 +245,9 @@ impl MacResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::ColumnarFlows;
     use rtbh_bgp::{BgpUpdate, UpdateKind};
-    use rtbh_fabric::FlowSample;
+    use rtbh_fabric::{FlowLog, FlowSample};
     use rtbh_net::{Community, MacAddr, Protocol, Timestamp};
 
     fn bh(prefix: &str) -> BgpUpdate {
@@ -337,6 +277,26 @@ mod tests {
         }
     }
 
+    /// The pipeline's build: enrich into sealed chunks of `capacity` rows,
+    /// then bucket the prefix-id columns over `workers` threads.
+    fn index(updates: &UpdateLog, flows: &FlowLog, workers: usize, capacity: usize) -> SampleIndex {
+        let enriched = ColumnarFlows::build_enriched_with_capacity(
+            updates,
+            flows,
+            &MacResolver::from_map(BTreeMap::new()),
+            &OriginTable::build(&[]),
+            Timestamp::EPOCH,
+            workers,
+            capacity,
+        );
+        SampleIndex::from_columns(
+            enriched.blackholes,
+            enriched.blackhole_prefixes,
+            &enriched.columns,
+            workers,
+        )
+    }
+
     #[test]
     fn index_assigns_by_longest_prefix() {
         let updates = UpdateLog::from_updates(vec![bh("10.0.0.0/24"), bh("10.0.0.7/32")]);
@@ -346,7 +306,7 @@ mod tests {
             flow("10.0.0.7", "8.8.8.8"), // from /32
             flow("8.8.8.8", "11.0.0.1"), // unmatched
         ]);
-        let idx = SampleIndex::build(&updates, &flows);
+        let idx = index(&updates, &flows, 1, 0);
         assert_eq!(idx.prefixes().len(), 2);
         let id24 = idx.prefix_id("10.0.0.0/24".parse().unwrap()).unwrap();
         let id32 = idx.prefix_id("10.0.0.7/32".parse().unwrap()).unwrap();
@@ -361,7 +321,7 @@ mod tests {
     #[test]
     fn duplicate_announcements_index_once() {
         let updates = UpdateLog::from_updates(vec![bh("10.0.0.7/32"), bh("10.0.0.7/32")]);
-        let idx = SampleIndex::build(&updates, &FlowLog::new());
+        let idx = index(&updates, &FlowLog::new(), 1, 0);
         assert_eq!(idx.prefixes().len(), 1);
     }
 
@@ -377,9 +337,9 @@ mod tests {
             })
             .collect();
         let flows = FlowLog::from_samples(samples);
-        let reference = SampleIndex::build_with_workers(&updates, &flows, 1);
+        let reference = index(&updates, &flows, 1, 64);
         for workers in [2, 3, 16] {
-            let sharded = SampleIndex::build_with_workers(&updates, &flows, workers);
+            let sharded = index(&updates, &flows, workers, 64);
             assert_eq!(reference.prefixes(), sharded.prefixes());
             for id in 0..reference.prefixes().len() {
                 assert_eq!(

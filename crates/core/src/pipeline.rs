@@ -146,10 +146,10 @@ pub struct Analyzer {
     config: AnalyzerConfig,
     clean_report: CleanReport,
     alignment: Option<Alignment>,
-    /// Cleaned, offset-corrected flows.
-    flows: FlowLog,
     events: Vec<RtbhEvent>,
-    /// The enriched columnar store every sample-scanning stage reads.
+    /// The enriched columnar store every sample-scanning stage reads: the
+    /// cleaned, offset-corrected samples, and the only copy of them the
+    /// analyzer keeps.
     columns: ColumnarFlows,
     index: SampleIndex,
     resolver: MacResolver,
@@ -170,7 +170,11 @@ impl Analyzer {
     /// enrichment, index build) run chunk-parallel on `config.workers`
     /// scoped threads with a deterministic ordered merge — any worker
     /// count yields the same analyzer state.
-    pub fn new(corpus: Corpus, config: AnalyzerConfig) -> Self {
+    ///
+    /// Prepare consumes the corpus's flow log: `corpus.flows` is emptied
+    /// as soon as the cleaned log exists, and the samples end up only in
+    /// [`Analyzer::columns`].
+    pub fn new(mut corpus: Corpus, config: AnalyzerConfig) -> Self {
         let workers = crate::shard::resolve_workers(config.workers);
         let mut prepare = Vec::new();
 
@@ -185,6 +189,7 @@ impl Analyzer {
             || clean_flows_with_workers(&corpus, workers),
         );
         prepare.push(st);
+        corpus.flows = FlowLog::new();
 
         Self::prepare(corpus, config, clean_report, cleaned, prepare, workers)
     }
@@ -199,9 +204,14 @@ impl Analyzer {
     /// accumulating the same [`CleanReport`] counters, so replaying its
     /// accumulated logs through this constructor reproduces the batch
     /// [`FullReport`] byte-for-byte (pinned by the `stream_diff` suite).
-    pub fn from_cleaned(corpus: Corpus, config: AnalyzerConfig, clean_report: CleanReport) -> Self {
+    /// The cleaned log is moved out of `corpus.flows`, not copied.
+    pub fn from_cleaned(
+        mut corpus: Corpus,
+        config: AnalyzerConfig,
+        clean_report: CleanReport,
+    ) -> Self {
         let workers = crate::shard::resolve_workers(config.workers);
-        let cleaned = corpus.flows.clone();
+        let cleaned = std::mem::take(&mut corpus.flows);
         Self::prepare(corpus, config, clean_report, cleaned, Vec::new(), workers)
     }
 
@@ -240,8 +250,9 @@ impl Analyzer {
         prepare.push(st);
 
         // Skip the shift stage entirely for a zero offset — the satellite
-        // case where cloning (let alone re-stamping) the whole log would be
-        // pure waste.
+        // case where re-stamping the whole log would be pure waste. Each
+        // superseded log is dropped as soon as its successor exists, so at
+        // most two copies of the samples are alive at any point.
         let offset = alignment
             .as_ref()
             .map(|a| a.estimated_offset())
@@ -260,6 +271,7 @@ impl Analyzer {
                 || shift_flows_with_workers(&cleaned, offset, workers),
             );
             prepare.push(st);
+            drop(cleaned);
             flows
         };
 
@@ -302,13 +314,14 @@ impl Analyzer {
             },
         );
         prepare.push(st);
+        drop(flows);
         let columns = enriched.columns;
 
         let (index, st) = profile::time_stage_with_workers(
             "index",
             Footprint {
                 updates: updates_total,
-                samples: flows.len() as u64,
+                samples: columns.len() as u64,
                 events: 0,
             },
             workers,
@@ -328,7 +341,6 @@ impl Analyzer {
             config,
             clean_report,
             alignment,
-            flows,
             events,
             columns,
             index,
@@ -345,7 +357,10 @@ impl Analyzer {
         Self::new(corpus, config)
     }
 
-    /// The corpus under analysis.
+    /// The corpus under analysis, minus its samples: prepare consumes the
+    /// flow log, so `corpus().flows` is empty. The cleaned, aligned
+    /// samples live in [`Analyzer::columns`]; the raw and internal counts
+    /// are in [`Analyzer::clean_report`].
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
     }
@@ -365,13 +380,8 @@ impl Analyzer {
         self.alignment.as_ref()
     }
 
-    /// The cleaned, aligned flow log.
-    pub fn flows(&self) -> &FlowLog {
-        &self.flows
-    }
-
-    /// The enriched columnar flow store (same samples as
-    /// [`Analyzer::flows`], in the same order).
+    /// The enriched columnar flow store: every cleaned, aligned sample, in
+    /// capture order.
     pub fn columns(&self) -> &ColumnarFlows {
         &self.columns
     }
@@ -492,7 +502,7 @@ impl Analyzer {
     fn footprint_updates_flows(&self) -> Footprint {
         Footprint {
             updates: self.corpus.updates.len() as u64,
-            samples: self.flows.len() as u64,
+            samples: self.columns.len() as u64,
             events: 0,
         }
     }

@@ -21,7 +21,7 @@ pub fn render_report(report: &FullReport, corpus: &Corpus) -> String {
         corpus.period,
         corpus.members.len(),
         corpus.updates.len(),
-        corpus.flows.len(),
+        report.clean.total,
         corpus.sampling_rate
     );
     let _ = writeln!(

@@ -855,7 +855,8 @@ impl StreamAnalyzer {
     /// stream's cleaned flows and applied updates replace the template's
     /// empty logs and the ingest-time [`CleanReport`] carries the clean
     /// counters, so [`Analyzer::from_cleaned`] reruns the exact batch
-    /// kernels (align → shift → events → enrich → index → stages).
+    /// kernels (align → shift → events → enrich → index → stages). The
+    /// cleaned log moves into the analyzer, which consumes it in prepare.
     ///
     /// Call [`StreamAnalyzer::finish`] first; this consumes the stream.
     pub fn into_analyzer(self) -> Analyzer {
@@ -1147,6 +1148,25 @@ mod tests {
             assert_eq!(run.profile.mode, ExecutionMode::Streaming);
             assert_eq!(run.profile.prepare[0].stage, "ingest");
             assert_eq!(run.profile.prepare[1].stage, "finish");
+        }
+    }
+
+    #[test]
+    fn prepare_leaves_the_columns_as_the_only_sample_store() {
+        let c = build_corpus();
+        let config = StreamConfig::for_corpus(&c);
+        let batch = Analyzer::new(c.clone(), config.analyzer);
+        let streamed = StreamDriver::new(64).replay(&c, config).analyzer;
+        for (path, analyzer) in [("batch", &batch), ("stream", &streamed)] {
+            let clean = analyzer.clean_report();
+            assert!(analyzer.corpus().flows.is_empty(), "{path}");
+            assert_eq!(clean.total, c.flows.len(), "{path}");
+            assert_eq!(clean.internal_removed, 1, "{path}");
+            assert_eq!(
+                analyzer.columns().len(),
+                clean.total - clean.internal_removed,
+                "{path}"
+            );
         }
     }
 

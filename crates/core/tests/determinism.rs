@@ -2,7 +2,7 @@
 //! observationally identical to the sequential reference path.
 //!
 //! Every analysis stage is a pure function of shared immutable inputs
-//! (`&SampleIndex`, `&FlowLog`, `&[RtbhEvent]`), and every map in the
+//! (`&SampleIndex`, `&ColumnarFlows`, `&[RtbhEvent]`), and every map in the
 //! report types is a `BTreeMap`, so the two execution modes must serialize
 //! to byte-identical JSON. Any divergence means a stage grew hidden
 //! mutable state or nondeterministic iteration — exactly the class of bug

@@ -19,7 +19,9 @@
 //! * [`oracle`] — differential oracles: encode→decode→encode equality for
 //!   the wire codecs, parse→write→parse fixpoints for JSON, and
 //!   `FrozenLpm`-vs-`PrefixTrie` lookup equivalence; [`offset`] keeps the
-//!   naive clock-offset grid scan that the shipped vote kernel is held to.
+//!   naive clock-offset grid scan that the shipped vote kernel is held to,
+//!   and [`index`] the per-sample LPM scan the shipped index build is held
+//!   to.
 //!
 //! Plus [`streamgen`] — interleaved update/sample event feeds with
 //! adversarial orderings (bounded out-of-order arrivals, duplicates,
@@ -37,6 +39,7 @@
 
 pub mod driver;
 pub mod gen;
+pub mod index;
 pub mod mutate;
 pub mod offset;
 pub mod oracle;

@@ -30,6 +30,7 @@ use rtbh_core::filter::{
     FilterQuery, FlagCol, IdDict, Predicate, SelectionMask,
 };
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
+use rtbh_core::Corpus;
 use rtbh_rng::Rng;
 use rtbh_testkit::FuzzTarget;
 
@@ -42,14 +43,20 @@ fn target(test_name: &'static str, base_seed: u64) -> FuzzTarget {
     }
 }
 
-/// One tiny prepared corpus for the whole suite (preparation is far too
-/// slow to run per fuzz case; the kernels under test are pure readers).
+/// One tiny simulated corpus for the whole suite, kept whole: preparing
+/// it consumes the flow log, and the capacity suite prepares it again.
+fn corpus() -> &'static Corpus {
+    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+    CORPUS.get_or_init(|| rtbh_sim::run(&rtbh_sim::ScenarioConfig::tiny()).corpus)
+}
+
+/// The corpus prepared once (preparation is far too slow to run per fuzz
+/// case; the kernels under test are pure readers).
 fn analyzer() -> &'static Analyzer {
     static ANALYZER: OnceLock<Analyzer> = OnceLock::new();
     ANALYZER.get_or_init(|| {
-        let out = rtbh_sim::run(&rtbh_sim::ScenarioConfig::tiny());
-        let config = AnalyzerConfig::for_corpus(&out.corpus).with_workers(2);
-        Analyzer::new(out.corpus, config)
+        let config = AnalyzerConfig::for_corpus(corpus()).with_workers(2);
+        Analyzer::new(corpus().clone(), config)
     })
 }
 
@@ -188,10 +195,10 @@ fn dictionary_lists_match_index_and_scatter_matches_filtered_scan() {
 #[test]
 fn filter_aggregates_identical_across_chunk_capacities() {
     let analyzer = analyzer();
-    let corpus = analyzer.corpus().clone();
+    let corpus = corpus();
     let period = corpus.period;
     let span = (period.start.as_millis(), period.end.as_millis());
-    let base = AnalyzerConfig::for_corpus(&corpus);
+    let base = AnalyzerConfig::for_corpus(corpus);
     let whole_corpus = analyzer.columns().len().next_power_of_two().max(64);
 
     // Reference answers from the default-capacity naive walk.

@@ -122,3 +122,36 @@ fn simulate_info_analyze_and_corruption() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `analyze` and `stream` read the same corpus file, so the `== corpus ==`
+/// sections they print — sample count before cleaning included — must
+/// agree line for line.
+#[test]
+fn analyze_and_stream_print_the_same_corpus_section() {
+    let dir = scratch_dir("corpus-section");
+    let corpus = dir.join("corpus.rtbh");
+    let corpus_str = corpus.to_str().unwrap();
+    let out = rtbh(&["simulate", "--tiny", "--seed", "42", corpus_str]);
+    assert_eq!(out.status.code(), Some(0), "simulate failed: {out:?}");
+
+    let corpus_section = |command: &str| -> String {
+        let out = rtbh(&[command, corpus_str]);
+        assert_eq!(out.status.code(), Some(0), "{command} failed: {out:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let section: Vec<&str> = text
+            .lines()
+            .skip_while(|line| *line != "== corpus ==")
+            .take_while(|line| !line.is_empty())
+            .collect();
+        assert!(
+            section.len() > 1,
+            "{command} printed no corpus section:\n{text}"
+        );
+        section.join("\n")
+    };
+    let batch = corpus_section("analyze");
+    assert!(batch.contains(" flow samples "), "{batch}");
+    assert_eq!(batch, corpus_section("stream"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -99,13 +99,19 @@ fn all_figures_render_on_tiny_corpus() {
 #[test]
 fn analyzer_offset_correction_improves_alignment() {
     let out = rtbh::sim::run(&ScenarioConfig::tiny());
+    // Prepare consumes the analyzer's flow log, so keep a copy to re-scan.
+    let kept = out.corpus.clone();
     let analyzer = Analyzer::with_defaults(out.corpus);
     let alignment = analyzer.alignment().expect("alignment available");
     // The corrected flows, re-scanned, should peak at ~zero offset.
+    let corrected = rtbh::core::align::shift_flows(
+        &rtbh::core::clean::clean_flows(&kept).0,
+        alignment.estimated_offset(),
+    );
     let rescan = rtbh::core::align::estimate_offset(
-        &analyzer.corpus().updates,
-        analyzer.flows(),
-        analyzer.corpus().period.end,
+        &kept.updates,
+        &corrected,
+        kept.period.end,
         TimeDelta::millis(500),
         TimeDelta::millis(10),
     )
