@@ -18,10 +18,12 @@
 //!   batch pipeline over the logs reconstructed from that arrival order —
 //!   the reorder buffer must be a no-op in report space.
 //!
-//! Plus the journal half of the contract: replaying the same feed yields
-//! an identical verdict journal (and the journal is invariant across feed
-//! batch sizes), and recovery from a truncated journal resumes without
-//! duplicate or missing verdicts.
+//! Plus the journal half of the contract: the golden scenario's journal
+//! matches a committed snapshot (`tests/golden/journal.jsonl`), every live
+//! verdict agrees with the batch classification of the same event,
+//! replaying the same feed yields an identical verdict journal (and the
+//! journal is invariant across feed batch sizes), and recovery from a
+//! truncated journal resumes without duplicate or missing verdicts.
 
 #[path = "common/seeds.rs"]
 #[allow(dead_code)]
@@ -40,7 +42,10 @@ use rtbh_net::{Asn, Interval, MacAddr, TimeDelta, Timestamp};
 use rtbh_rng::{ChaChaRng, Rng};
 use rtbh_sim::ScenarioConfig;
 use rtbh_testkit::streamgen::{arb_feed, shuffle_bounded, FeedConfig, FeedItem};
-use rtbh_testkit::FuzzTarget;
+use rtbh_testkit::{assert_snapshot, FuzzTarget};
+
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 /// The golden scenario (`golden.rs` pins its digest and report snapshot).
 fn golden_corpus() -> Corpus {
@@ -253,6 +258,58 @@ fn bounded_out_of_order_feeds_match_batch_with_sufficient_lateness() {
              (displacement {displacement}, lateness {lateness:?})"
         );
     });
+}
+
+#[test]
+fn golden_journal_matches_snapshot() {
+    let corpus = golden_corpus();
+    let run = StreamDriver::new(4096).replay(&corpus, StreamConfig::for_corpus(&corpus));
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/journal.jsonl");
+    assert_snapshot(&path, &render_journal(&run.journal));
+}
+
+/// Live ≡ batch verdicts: on the golden scenario every journaled run is a
+/// batch event with the same `(prefix, start)` key and the same use case.
+/// At capacity 64 the ring holds many sealed chunks plus an open chunk, so
+/// the anomaly backfill's header pruning is exercised.
+#[test]
+fn live_verdicts_agree_with_batch_classification() {
+    let corpus = golden_corpus();
+    for capacity in [64usize, 0] {
+        let mut config = StreamConfig::for_corpus(&corpus);
+        config.analyzer.chunk_capacity = capacity;
+        let run = StreamDriver::new(4096).replay(&corpus, config);
+        let batch: BTreeMap<_, _> = run
+            .analyzer
+            .events()
+            .iter()
+            .zip(&run.report.classification.per_event)
+            .map(|(event, verdict)| {
+                assert_eq!(event.id, verdict.event_id);
+                ((event.prefix, event.start()), verdict.use_case)
+            })
+            .collect();
+        assert!(
+            !run.journal.is_empty(),
+            "golden scenario must journal verdicts"
+        );
+        assert_eq!(
+            run.journal.len(),
+            batch.len(),
+            "one live verdict per batch event at capacity {capacity}"
+        );
+        for v in &run.journal {
+            let key = (v.prefix, v.start);
+            assert_eq!(
+                batch.get(&key),
+                Some(&v.use_case),
+                "live verdict {} for {} at {:?} disagrees with batch at capacity {capacity}",
+                v.seq,
+                v.prefix,
+                v.start
+            );
+        }
+    }
 }
 
 #[test]
