@@ -1,7 +1,7 @@
 //! Final RTBH use-case classification (paper §7.3, Fig. 19) and the
 //! literature-based expectations (Table 1).
 
-use rtbh_net::TimeDelta;
+use rtbh_net::{Prefix, TimeDelta};
 
 use crate::events::RtbhEvent;
 use crate::preevent::{PreClass, PreEventAnalysis};
@@ -185,6 +185,34 @@ impl Classification {
     }
 }
 
+/// The use-case rule (paper §7.3), shared by the batch classification and
+/// the streaming verdict journal. Precedence: a pre-event anomaly means
+/// infrastructure protection, then a long-lived covering prefix (`/24` or
+/// shorter) means squatting protection, then a long, quiet, still-open host
+/// route means a zombie, and anything else is other.
+pub fn classify_use_case(
+    prefix: Prefix,
+    duration: TimeDelta,
+    during_packets: u64,
+    open_ended: bool,
+    anomaly: bool,
+    config: &ClassifyConfig,
+) -> UseCase {
+    if anomaly {
+        UseCase::InfrastructureProtection
+    } else if prefix.len() <= 24 && duration >= config.squatting_min_duration {
+        UseCase::SquattingProtection
+    } else if prefix.is_host()
+        && duration >= config.zombie_min_duration
+        && during_packets < config.zombie_max_packets
+        && open_ended
+    {
+        UseCase::Zombie
+    } else {
+        UseCase::Other
+    }
+}
+
 /// Classifies every event.
 pub fn classify_events(
     events: &[RtbhEvent],
@@ -195,27 +223,19 @@ pub fn classify_events(
     let per_event = events
         .iter()
         .map(|event| {
-            let pre = preevents.per_event.get(event.id);
-            let during = traffic.per_event.get(event.id);
             let duration = event.duration();
-            let anomaly = pre.is_some_and(|r| r.class == PreClass::DataAnomaly);
-            let during_packets = during.map_or(0, |t| t.packets);
-            let total_packets = during_packets + pre.map_or(0, |r| r.packets);
-
-            let use_case = if anomaly {
-                UseCase::InfrastructureProtection
-            } else if event.prefix.len() <= 24 && duration >= config.squatting_min_duration {
-                UseCase::SquattingProtection
-            } else if event.prefix.is_host()
-                && duration >= config.zombie_min_duration
-                && during_packets < config.zombie_max_packets
-                && event.open_ended
-            {
-                UseCase::Zombie
-            } else {
-                UseCase::Other
-            };
-            let _ = total_packets;
+            let anomaly = preevents
+                .per_event
+                .get(event.id)
+                .is_some_and(|r| r.class == PreClass::DataAnomaly);
+            let use_case = classify_use_case(
+                event.prefix,
+                duration,
+                traffic.per_event.get(event.id).map_or(0, |t| t.packets),
+                event.open_ended,
+                anomaly,
+                config,
+            );
             ClassifiedEvent {
                 event_id: event.id,
                 use_case,

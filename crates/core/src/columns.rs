@@ -623,7 +623,7 @@ fn normalize_capacity(requested: usize) -> (usize, u32) {
 }
 
 /// A bounded-memory ring of [`SealedChunk`]s for the streaming analyzer
-/// ([`crate::stream`]): rows append into an open [`ChunkBuilder`], seal
+/// ([`crate::stream`]): rows append into an open chunk builder, seal
 /// into an immutable chunk at capacity, and sealed chunks older than a
 /// retention watermark are evicted from the front.
 ///
@@ -857,6 +857,27 @@ impl ChunkRing {
     }
 }
 
+/// The ASN intern table of the enriched store and the live ring: the union
+/// of member ASNs and route origins, sorted and deduplicated so ids are
+/// stable and binary-searchable.
+pub fn asn_table(resolver: &MacResolver, origins: &OriginTable) -> Vec<Asn> {
+    let mut asns: Vec<Asn> = resolver
+        .asns()
+        .chain(origins.asns().iter().copied())
+        .collect();
+    asns.sort_unstable();
+    asns.dedup();
+    asns
+}
+
+/// Interns an optional ASN against an [`asn_table`]: its index, or
+/// [`NONE`] for `None`. Every ASN the resolver or origin table returns is
+/// in the table, so the search cannot fail.
+#[inline]
+pub fn intern_asn(asns: &[Asn], asn: Option<Asn>) -> u32 {
+    asn.map_or(NONE, |a| asns.binary_search(&a).map_or(NONE, |i| i as u32))
+}
+
 impl ColumnarFlows {
     /// Builds sealed chunks **and** runs the one-pass enrichment over
     /// `workers` scoped threads at the default chunk capacity
@@ -914,22 +935,7 @@ impl ColumnarFlows {
         }
         let activity = FrozenLpm::from_trie(&trie);
 
-        // ASN intern table: union of member ASNs and route origins,
-        // sorted + deduplicated so ids are stable and binary-searchable.
-        let mut asns: Vec<Asn> = resolver
-            .asns()
-            .chain(origins.asns().iter().copied())
-            .collect();
-        asns.sort_unstable();
-        asns.dedup();
-        let intern = |asn: Option<Asn>| -> u32 {
-            match asn {
-                // Every ASN the resolver/origin table can return is in the
-                // table, so the search cannot fail; NONE is for None.
-                Some(a) => asns.binary_search(&a).map_or(NONE, |i| i as u32),
-                None => NONE,
-            }
-        };
+        let asns = asn_table(resolver, origins);
         let pid = |lpm: &FrozenLpm<usize>, addr: Ipv4Addr| -> u32 {
             lpm.longest_match(addr).map_or(NONE, |(_, &id)| id as u32)
         };
@@ -955,9 +961,9 @@ impl ColumnarFlows {
                     dst_port: s.dst_port,
                     protocol: s.protocol.number(),
                     packet_len: u32::from(s.packet_len),
-                    ingress: intern(resolver.handover(s)),
-                    egress: intern(resolver.egress(s)),
-                    origin: intern(origins.origin_of(s.src_ip)),
+                    ingress: intern_asn(&asns, resolver.handover(s)),
+                    egress: intern_asn(&asns, resolver.egress(s)),
+                    origin: intern_asn(&asns, origins.origin_of(s.src_ip)),
                     dst_pid: pid(&blackholes, s.dst_ip),
                     src_pid: pid(&blackholes, s.src_ip),
                     active_pid,

@@ -39,7 +39,7 @@
 //! event-driven analyzer — a watermark-ordered feed of updates and samples
 //! drives a bounded ring of sealed chunks, incremental EWMA detectors and
 //! a journaled live-verdict log, and its finalizer reproduces the batch
-//! [`pipeline::FullReport`](pipeline::FullReport) byte-for-byte.
+//! [`pipeline::FullReport`] byte-for-byte.
 //!
 //! The pipeline never sees simulator ground truth — only what the paper's
 //! vantage point could record.

@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 
-use rtbh_net::{Interval, Protocol, TimeDelta};
+use rtbh_net::{Protocol, TimeDelta, Timestamp};
 use rtbh_stats::{EwmaConfig, EwmaDetector};
 
 use crate::columns::ColumnarFlows;
@@ -114,67 +114,63 @@ impl PreEventResult {
     }
 }
 
-/// Builds the five feature series of one event's pre-window from the
-/// columnar store, reading only the columns each feature needs.
+/// One sample row as the pre-event kernel reads it:
+/// `(at_ms, src_ip, src_port, dst_port, protocol)`.
+pub type PreEventRow = (i64, u32, u16, u16, u8);
+
+/// Builds the five feature series of the pre-window `[start - pre_window,
+/// start)`: one `[f64; FEATURES]` per slot, empty slots as zeros. Rows
+/// outside the window are skipped. Distinct counts are keyed by slot, so
+/// three sets serve every slot.
 fn feature_series(
-    cols: &ColumnarFlows,
-    ids: &[u32],
-    window: Interval,
+    start: Timestamp,
+    rows: impl IntoIterator<Item = PreEventRow>,
     config: &PreEventConfig,
 ) -> Vec<[f64; FEATURES]> {
-    let slots = config.slot_count();
-    let mut packets = vec![0u32; slots];
-    let mut flows: Vec<HashSet<(u32, u16, u16, u8)>> = vec![HashSet::new(); slots];
-    let mut src_ips: Vec<HashSet<u32>> = vec![HashSet::new(); slots];
-    let mut dst_ports: Vec<HashSet<u16>> = vec![HashSet::new(); slots];
-    let mut non_tcp = vec![0u32; slots];
-    for &id in ids {
-        let i = id as usize;
-        let offset = (cols.at(i) - window.start).as_millis();
-        if offset < 0 {
+    let (ws, we) = ((start - config.pre_window).as_millis(), start.as_millis());
+    let slot_ms = config.slot.as_millis();
+    let mut series = vec![[0.0; FEATURES]; config.slot_count()];
+    let mut flows = HashSet::new();
+    let mut src_ips = HashSet::new();
+    let mut dst_ports = HashSet::new();
+    for (at, src_ip, src_port, dst_port, protocol) in rows {
+        if at < ws || at >= we {
             continue;
         }
-        let idx = (offset / config.slot.as_millis()) as usize;
-        if idx >= slots {
+        let idx = ((at - ws) / slot_ms) as usize;
+        let Some(slot) = series.get_mut(idx) else {
             continue;
+        };
+        slot[0] += 1.0;
+        if flows.insert((idx, src_ip, src_port, dst_port, protocol)) {
+            slot[1] += 1.0;
         }
-        packets[idx] += 1;
-        flows[idx].insert((
-            cols.src_ip_raw(i),
-            cols.src_port(i),
-            cols.dst_port(i),
-            cols.protocol_raw(i),
-        ));
-        src_ips[idx].insert(cols.src_ip_raw(i));
-        dst_ports[idx].insert(cols.dst_port(i));
-        if cols.protocol(i) != Protocol::Tcp {
-            non_tcp[idx] += 1;
+        if src_ips.insert((idx, src_ip)) {
+            slot[2] += 1.0;
+        }
+        if dst_ports.insert((idx, dst_port)) {
+            slot[3] += 1.0;
+        }
+        if Protocol::from_number(protocol) != Protocol::Tcp {
+            slot[4] += 1.0;
         }
     }
-    (0..slots)
-        .map(|i| {
-            [
-                packets[i] as f64,
-                flows[i].len() as f64,
-                src_ips[i].len() as f64,
-                dst_ports[i].len() as f64,
-                non_tcp[i] as f64,
-            ]
-        })
-        .collect()
+    series
 }
 
-/// Analyzes one event's pre-window given the (time-sorted) ids of its
-/// samples in the columnar store.
-pub fn analyze_event(
-    event: &RtbhEvent,
-    cols: &ColumnarFlows,
-    ids: &[u32],
+/// The pre-event kernel, shared by the batch analysis and the streaming
+/// analyzer's anomaly backfill: slots the rows of the pre-window before
+/// `start` (rows outside it are skipped, in any order), runs the EWMA pass
+/// and classifies. The result's `event_id` is 0; callers that have an
+/// event id set it.
+pub fn analyze_rows(
+    start: Timestamp,
+    rows: impl IntoIterator<Item = PreEventRow>,
     config: &PreEventConfig,
 ) -> PreEventResult {
-    let window = Interval::new(event.start() - config.pre_window, event.start());
-    let series = feature_series(cols, ids, window, config);
+    let series = feature_series(start, rows, config);
     let slots = series.len();
+    let window_start = start - config.pre_window;
 
     let mut detectors: Vec<EwmaDetector> = (0..FEATURES)
         .map(|_| EwmaDetector::new(config.ewma))
@@ -190,9 +186,9 @@ pub fn analyze_event(
             }
         }
         if level > 0 {
-            let slot_start = window.start + TimeDelta::millis(config.slot.as_millis() * i as i64);
+            let slot_start = window_start + TimeDelta::millis(config.slot.as_millis() * i as i64);
             anomalies.push(AnomalyHit {
-                before_start: event.start() - slot_start,
+                before_start: start - slot_start,
                 level,
             });
         }
@@ -230,13 +226,37 @@ pub fn analyze_event(
     };
 
     PreEventResult {
-        event_id: event.id,
+        event_id: 0,
         slots_with_data,
         packets,
         anomalies,
         amplification,
         last_slot_is_max,
         class,
+    }
+}
+
+/// Analyzes one event's pre-window given the ids of its samples in the
+/// columnar store.
+pub fn analyze_event(
+    event: &RtbhEvent,
+    cols: &ColumnarFlows,
+    ids: &[u32],
+    config: &PreEventConfig,
+) -> PreEventResult {
+    let rows = ids.iter().map(|&id| {
+        let i = id as usize;
+        (
+            cols.at(i).as_millis(),
+            cols.src_ip_raw(i),
+            cols.src_port(i),
+            cols.dst_port(i),
+            cols.protocol_raw(i),
+        )
+    });
+    PreEventResult {
+        event_id: event.id,
+        ..analyze_rows(event.start(), rows, config)
     }
 }
 
@@ -343,7 +363,7 @@ pub fn analyze_preevents(
 mod tests {
     use super::*;
     use rtbh_fabric::{FlowLog, FlowSample};
-    use rtbh_net::{Asn, MacAddr, Timestamp};
+    use rtbh_net::{Asn, Interval, MacAddr};
 
     fn config() -> PreEventConfig {
         // Small windows so tests stay readable: 60-slot window, span 20.
@@ -501,6 +521,45 @@ mod tests {
         assert!((max_share - 0.5).abs() < 1e-12);
         let hist = analysis.anomaly_histogram();
         assert_eq!(hist[&(5, 5)], 1);
+    }
+
+    #[test]
+    fn kernel_ignores_row_order_and_rows_outside_the_window() {
+        let mut samples: Vec<FlowSample> = (0..60)
+            .map(|i| sample(i * 5, "8.8.8.8", 443, Protocol::Tcp))
+            .collect();
+        for i in 0..120 {
+            samples.push(sample(
+                297,
+                &format!("20.0.0.{}", i % 250 + 1),
+                40000 + i,
+                Protocol::Udp,
+            ));
+        }
+        let (cols, ids) = cols_of(samples);
+        let expected = analyze_event(&event(300), &cols, &ids, &config());
+        assert_eq!(expected.class, PreClass::DataAnomaly);
+        let row = |i: usize| {
+            (
+                cols.at(i).as_millis(),
+                cols.src_ip_raw(i),
+                cols.src_port(i),
+                cols.dst_port(i),
+                cols.protocol_raw(i),
+            )
+        };
+        let start = event(300).start();
+        // Reversed rows, plus rows just before the window and at its end.
+        let outside = [-1, 300 * 60_000].map(|ms| (ms, 1, 2, 3, 17));
+        let rows = (0..cols.len()).rev().map(row).chain(outside);
+        let r = analyze_rows(start, rows, &config());
+        assert_eq!(
+            r,
+            PreEventResult {
+                event_id: 0,
+                ..expected
+            }
+        );
     }
 
     #[test]

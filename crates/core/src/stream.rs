@@ -3,7 +3,8 @@
 //! [`StreamAnalyzer`] consumes one interleaved, timestamp-ordered feed of
 //! BGP updates and flow samples and maintains *live* state while it runs:
 //!
-//! * a bounded-memory [`ChunkRing`] of [`SealedChunk`]s reusing the batch
+//! * a bounded-memory [`ChunkRing`] of
+//!   [`SealedChunk`](crate::columns::SealedChunk)s reusing the batch
 //!   store's chunk ABI verbatim (open chunk appends, seals at capacity,
 //!   evicts past the retention watermark);
 //! * incremental per-prefix blackhole *runs* (the streaming counterpart of
@@ -41,30 +42,31 @@
 //! to `Analyzer::full`'s** (pinned across chunk capacities, feed batch
 //! sizes and worker counts by the `stream_diff` differential suite).
 //!
-//! The *live* verdict journal intentionally follows watermark semantics
-//! instead: it knows only the prefixes announced so far, reads unshifted
-//! timestamps, and its anomaly backfill scans whatever the ring still
-//! retains. Those divergences are documented on [`VerdictRecord`]; the
-//! journal itself is deterministic (same feed, same config ⇒ same byte
-//! sequence, pinned by the journal replay tests).
+//! The *live* verdict journal runs on the batch kernels — the pre-event
+//! EWMA kernel ([`preevent::analyze_rows`]), the use-case rule
+//! ([`classify_use_case`]) and the ASN intern table ([`asn_table`]) — but
+//! follows watermark semantics: it knows only the prefixes announced so
+//! far, reads unshifted timestamps, and its anomaly backfill scans whatever
+//! the ring still retains. Those divergences are documented on
+//! [`VerdictRecord`]; the journal itself is deterministic (same feed, same
+//! config ⇒ same byte sequence, pinned by the journal replay tests and the
+//! golden journal snapshot).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
 use rtbh_fabric::{FlowLog, FlowSample};
-use rtbh_net::{
-    Asn, Interval, Ipv4Addr, MacAddr, Prefix, PrefixTrie, Protocol, TimeDelta, Timestamp,
-};
-use rtbh_stats::{EwmaDetector, OffsetVotes};
+use rtbh_net::{Asn, Interval, Ipv4Addr, MacAddr, Prefix, PrefixTrie, TimeDelta, Timestamp};
+use rtbh_stats::OffsetVotes;
 
-use crate::classify::UseCase;
+use crate::classify::{classify_use_case, UseCase};
 use crate::clean::CleanReport;
-use crate::columns::{ChunkRing, ChunkRow, SealedChunk, NONE};
+use crate::columns::{asn_table, intern_asn, ChunkRing, ChunkRow, NONE};
 use crate::corpus::Corpus;
 use crate::index::{MacResolver, OriginTable};
 use crate::pipeline::{Analyzer, AnalyzerConfig, FullReport};
-use crate::preevent::FEATURES;
+use crate::preevent::{self, PreClass};
 use crate::profile::{ExecutionMode, PipelineProfile, StageStats};
 
 /// One event of the interleaved control/data-plane feed.
@@ -244,8 +246,8 @@ pub struct VerdictRecord {
     pub seq: u64,
     /// The blackholed prefix.
     pub prefix: Prefix,
-    /// The live use-case verdict (batch precedence: anomaly ⇒
-    /// infrastructure protection, else squatting, else zombie, else other).
+    /// The live use-case verdict, from the batch rule
+    /// ([`classify_use_case`]).
     pub use_case: UseCase,
     /// Peer of the prefix's first blackhole announcement.
     pub trigger_peer: Asn,
@@ -350,8 +352,7 @@ pub struct StreamAnalyzer {
     internal: BTreeSet<MacAddr>,
     resolver: MacResolver,
     origins: OriginTable,
-    /// Sorted, deduplicated ASN intern table — identical to the batch
-    /// enrichment's (both derive it from members + route origins alone).
+    /// The batch enrichment's ASN intern table ([`asn_table`]).
     asns: Vec<Asn>,
     pending: BinaryHeap<Reverse<Pending>>,
     arrival: u64,
@@ -391,12 +392,7 @@ impl StreamAnalyzer {
         let internal: BTreeSet<MacAddr> = template.internal_macs.iter().copied().collect();
         let resolver = MacResolver::build(&template);
         let origins = OriginTable::build(&template.routes);
-        let mut asns: Vec<Asn> = resolver
-            .asns()
-            .chain(origins.asns().iter().copied())
-            .collect();
-        asns.sort_unstable();
-        asns.dedup();
+        let asns = asn_table(&resolver, &origins);
         let offset = OffsetTracker::new(
             config.analyzer.offset_half_range,
             config.analyzer.offset_step,
@@ -625,9 +621,9 @@ impl StreamAnalyzer {
             dst_port: s.dst_port,
             protocol: s.protocol.number(),
             packet_len: u32::from(s.packet_len),
-            ingress: intern(&self.asns, self.resolver.handover(&s)),
-            egress: intern(&self.asns, self.resolver.egress(&s)),
-            origin: intern(&self.asns, self.origins.origin_of(s.src_ip)),
+            ingress: intern_asn(&self.asns, self.resolver.handover(&s)),
+            egress: intern_asn(&self.asns, self.resolver.egress(&s)),
+            origin: intern_asn(&self.asns, self.origins.origin_of(s.src_ip)),
             dst_pid: covering.map_or(NONE, |id| id as u32),
             src_pid: src_cov.map_or(NONE, |id| id as u32),
             // Live state has one dense id space (prefixes-seen-so-far), so
@@ -641,118 +637,33 @@ impl StreamAnalyzer {
         self.flows.push(s);
     }
 
-    /// EWMA anomaly backfill at run start: rebuilds the batch pre-event
-    /// feature series (5-minute slots × 5 features, empty slots as zeros)
-    /// for `[start - pre_window, start)` from the ring and runs the same
-    /// warm-up-respecting detector pass as
-    /// [`crate::preevent::analyze_event`]. Returns the batch
-    /// `DataAnomaly` predicate: sampled packets exist and an anomalous
-    /// slot lies within the anomaly horizon.
+    /// EWMA anomaly backfill at run start: feeds the ring's rows towards
+    /// `prefix` to the batch pre-event kernel ([`preevent::analyze_rows`])
+    /// and returns its `DataAnomaly` verdict. Sealed chunks wholly outside
+    /// the pre-window are skipped by their headers; the open chunk's
+    /// headers are stale until sealing, so it is always scanned.
     fn preevent_backfill(&self, prefix: Prefix, start: Timestamp) -> bool {
         let pcfg = &self.config.analyzer.preevent;
-        let ws = (start - pcfg.pre_window).as_millis();
-        let we = start.as_millis();
-        let slots = pcfg.slot_count();
-        let slot_ms = pcfg.slot.as_millis();
-        let mut packets = vec![0u32; slots];
-        let mut flows: Vec<HashSet<(u32, u16, u16, u8)>> = vec![HashSet::new(); slots];
-        let mut src_ips: Vec<HashSet<u32>> = vec![HashSet::new(); slots];
-        let mut dst_ports: Vec<HashSet<u16>> = vec![HashSet::new(); slots];
-        let mut non_tcp = vec![0u32; slots];
+        let (ws, we) = ((start - pcfg.pre_window).as_millis(), start.as_millis());
         let chunks = self
             .ring
             .sealed()
-            .map(|c| (c, true))
-            .chain(self.ring.open_chunk().map(|c| (c, false)));
-        for (c, sealed) in chunks {
-            // The open chunk's headers are stale until sealing — only
-            // sealed chunks may be pruned by them.
-            if sealed && (c.max_at_millis() < ws || c.min_at_millis() >= we) {
-                continue;
-            }
-            self.scan_chunk_features(
-                c,
-                prefix,
-                ws,
-                we,
-                slot_ms,
-                &mut packets,
-                &mut flows,
-                &mut src_ips,
-                &mut dst_ports,
-                &mut non_tcp,
-            );
-        }
-        let mut detectors: Vec<EwmaDetector> = (0..FEATURES)
-            .map(|_| EwmaDetector::new(pcfg.ewma))
-            .collect();
-        let mut hit = false;
-        let mut total_packets = 0u64;
-        for i in 0..slots {
-            total_packets += packets[i] as u64;
-            let values = [
-                packets[i] as f64,
-                flows[i].len() as f64,
-                src_ips[i].len() as f64,
-                dst_ports[i].len() as f64,
-                non_tcp[i] as f64,
-            ];
-            let before = TimeDelta::millis(we - (ws + slot_ms * i as i64));
-            for (f, det) in detectors.iter_mut().enumerate() {
-                if let Some(v) = det.push(values[f]) {
-                    if v.is_anomaly
-                        && v.value >= pcfg.min_anomalous_value
-                        && before <= pcfg.anomaly_horizon
-                    {
-                        hit = true;
-                    }
-                }
-            }
-        }
-        total_packets > 0 && hit
-    }
-
-    /// Accumulates one chunk's in-window rows towards `prefix` into the
-    /// per-slot feature accumulators.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_chunk_features(
-        &self,
-        c: &SealedChunk,
-        prefix: Prefix,
-        ws: i64,
-        we: i64,
-        slot_ms: i64,
-        packets: &mut [u32],
-        flows: &mut [HashSet<(u32, u16, u16, u8)>],
-        src_ips: &mut [HashSet<u32>],
-        dst_ports: &mut [HashSet<u16>],
-        non_tcp: &mut [u32],
-    ) {
-        for r in 0..c.len() {
-            let t = c.at_millis()[r];
-            if t < ws || t >= we {
-                continue;
-            }
-            if !prefix.contains_addr(Ipv4Addr::from_u32(c.dst_ip_raw()[r])) {
-                continue;
-            }
-            let idx = ((t - ws) / slot_ms) as usize;
-            if idx >= packets.len() {
-                continue;
-            }
-            packets[idx] += 1;
-            flows[idx].insert((
-                c.src_ip_raw()[r],
-                c.src_ports()[r],
-                c.dst_ports()[r],
-                c.protocols()[r],
-            ));
-            src_ips[idx].insert(c.src_ip_raw()[r]);
-            dst_ports[idx].insert(c.dst_ports()[r]);
-            if Protocol::from_number(c.protocols()[r]) != Protocol::Tcp {
-                non_tcp[idx] += 1;
-            }
-        }
+            .filter(|c| c.max_at_millis() >= ws && c.min_at_millis() < we)
+            .chain(self.ring.open_chunk());
+        let rows = chunks.flat_map(|c| {
+            (0..c.len())
+                .filter(move |&r| prefix.contains_addr(Ipv4Addr::from_u32(c.dst_ip_raw()[r])))
+                .map(move |r| {
+                    (
+                        c.at_millis()[r],
+                        c.src_ip_raw()[r],
+                        c.src_ports()[r],
+                        c.dst_ports()[r],
+                        c.protocols()[r],
+                    )
+                })
+        });
+        preevent::analyze_rows(start, rows, pcfg).class == PreClass::DataAnomaly
     }
 
     /// Closes run `id` and journals its verdict (no-op when the run has no
@@ -778,20 +689,14 @@ impl StreamAnalyzer {
         let end = spans.last().expect("non-empty").end;
         let duration = end - start;
         let open_ended = end >= self.template.period.end;
-        let cc = &self.config.analyzer.classify;
-        let use_case = if anomaly {
-            UseCase::InfrastructureProtection
-        } else if prefix.len() <= 24 && duration >= cc.squatting_min_duration {
-            UseCase::SquattingProtection
-        } else if prefix.is_host()
-            && duration >= cc.zombie_min_duration
-            && during < cc.zombie_max_packets
-            && open_ended
-        {
-            UseCase::Zombie
-        } else {
-            UseCase::Other
-        };
+        let use_case = classify_use_case(
+            prefix,
+            duration,
+            during,
+            open_ended,
+            anomaly,
+            &self.config.analyzer.classify,
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         if seq >= self.emit_floor {
@@ -921,14 +826,6 @@ impl StreamAnalyzer {
     }
 }
 
-/// Interns an optional ASN against the sorted table ([`NONE`] for `None`).
-fn intern(asns: &[Asn], asn: Option<Asn>) -> u32 {
-    match asn {
-        Some(a) => asns.binary_search(&a).map_or(NONE, |i| i as u32),
-        None => NONE,
-    }
-}
-
 /// Merges a corpus's two logs into one timestamp-ordered event feed:
 /// stable two-pointer merge by millisecond, updates before samples on
 /// ties, original order within each log.
@@ -1039,7 +936,7 @@ impl StreamDriver {
 mod tests {
     use super::*;
     use crate::corpus::MemberInfo;
-    use rtbh_net::Community;
+    use rtbh_net::{Community, Protocol};
     use rtbh_peeringdb::Registry;
 
     const MINUTE: i64 = 60_000;

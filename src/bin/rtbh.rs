@@ -40,7 +40,7 @@
 //! the predicate-pushdown mask kernels (quote predicates containing
 //! `<`/`>` to keep the shell off them).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rtbh::core::Analyzer;
 use rtbh::sim::ScenarioConfig;
@@ -110,9 +110,9 @@ fn simulate(args: Vec<String>) {
         config.seed
     );
     let result = rtbh::sim::run(&config);
-    rtbh::corpus_io::save(&result.corpus, &out).expect("write corpus");
+    rtbh::corpus_io::save(&result.corpus, &out).unwrap_or_else(|e| write_failed(&out, e));
     let truth_path = out.with_extension("truth.json");
-    std::fs::write(&truth_path, rtbh_json::to_vec_pretty(&result.truth)).expect("write truth");
+    write_output(&truth_path, rtbh_json::to_vec_pretty(&result.truth));
     eprintln!(
         "wrote {} ({} updates, {} samples) and {}",
         out.display(),
@@ -122,8 +122,21 @@ fn simulate(args: Vec<String>) {
     );
 }
 
+/// A failed output write is an input error (a bad output path), like a bad
+/// corpus: prints `failed to write <path>: <error>` and exits 2.
+fn write_failed(path: &Path, e: impl std::fmt::Display) -> ! {
+    eprintln!("failed to write {}: {e}", path.display());
+    std::process::exit(2);
+}
+
+/// Writes an output file, exiting through [`write_failed`] on error.
+fn write_output(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) {
+    let path = path.as_ref();
+    std::fs::write(path, bytes).unwrap_or_else(|e| write_failed(path, e));
+}
+
 fn load(path: &str) -> rtbh::core::Corpus {
-    rtbh::corpus_io::load(std::path::Path::new(path)).unwrap_or_else(|e| {
+    rtbh::corpus_io::load(Path::new(path)).unwrap_or_else(|e| {
         eprintln!("failed to load {path}: {e}");
         // Exit 2 (usage/input error), distinct from 1 (analysis failure), so
         // scripts can tell a corrupt corpus from a crashed pipeline.
@@ -235,7 +248,7 @@ fn stream(args: Vec<String>) {
         }
     }
     if let Some(out) = journal_out {
-        std::fs::write(&out, render_journal(&run.journal)).expect("write journal");
+        write_output(&out, render_journal(&run.journal));
         eprintln!("wrote {out} ({} verdicts)", run.journal.len());
     }
     if let Some(out) = json_out {
@@ -246,7 +259,7 @@ fn stream(args: Vec<String>) {
             ("profile".to_string(), run.profile.to_json()),
             ("headline".to_string(), run.report.headline().to_json()),
         ]);
-        std::fs::write(&out, rtbh_json::to_vec_pretty(&payload)).expect("write json");
+        write_output(&out, rtbh_json::to_vec_pretty(&payload));
         eprintln!("wrote {out}");
     }
 }
@@ -448,8 +461,7 @@ fn analyze(args: Vec<String>) {
             ("events".to_string(), analyzer.events().len().to_json()),
             ("profile".to_string(), profile.to_json()),
         ]);
-        std::fs::write("BENCH_pipeline.json", rtbh_json::to_vec_pretty(&payload))
-            .expect("write BENCH_pipeline.json");
+        write_output("BENCH_pipeline.json", rtbh_json::to_vec_pretty(&payload));
         eprintln!("wrote BENCH_pipeline.json");
     }
     if let Some(out) = json_out {
@@ -462,7 +474,7 @@ fn analyze(args: Vec<String>) {
             headline,
             class_shares: report.preevents.class_shares(),
         };
-        std::fs::write(&out, rtbh_json::to_vec_pretty(&payload)).expect("write json");
+        write_output(&out, rtbh_json::to_vec_pretty(&payload));
         eprintln!("wrote {out}");
     }
 }

@@ -48,6 +48,37 @@ fn missing_corpus_exits_2() {
     assert!(stderr.contains("failed to load"), "stderr: {stderr}");
 }
 
+/// An output path in a missing directory is an input error: every writing
+/// command prints `failed to write <path>` and exits 2, never panics.
+#[test]
+fn unwritable_output_paths_exit_2() {
+    let dir = scratch_dir("unwritable");
+    let corpus = dir.join("corpus.rtbh");
+    let corpus_str = corpus.to_str().unwrap();
+    let out = rtbh(&["simulate", "--tiny", "--seed", "42", corpus_str]);
+    assert_eq!(out.status.code(), Some(0), "simulate failed: {out:?}");
+
+    let missing = dir.join("missing").join("out");
+    let missing = missing.to_str().unwrap();
+    for args in [
+        vec!["simulate", "--tiny", missing],
+        vec!["analyze", corpus_str, "--json", missing],
+        vec!["stream", corpus_str, "--json", missing],
+        vec!["stream", corpus_str, "--journal", missing],
+    ] {
+        let out = rtbh(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("failed to write {missing}")),
+            "args {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "args {args:?}: {stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The whole happy path plus corruption, against one simulated corpus:
 /// simulate (exit 0) → info (exit 0, deterministic output) → analyze
 /// (exit 0) → corrupted / truncated copies (exit 2, per-file diagnostics).
