@@ -105,11 +105,12 @@ pub const MIN_SAMPLES_FOR_CDF: u64 = 5;
 /// Attributes flows to active blackholes and aggregates the tallies,
 /// chunk-parallel over `workers` scoped threads (`0` = one per core).
 ///
-/// Consumes the enrichment pass's precomputed columns: the covering
-/// interval-holding prefix id, the `active` bitset (was that prefix's
-/// blackhole announced at the sample's timestamp?), the `dropped` bitset
-/// and the interned ingress ASN — no per-sample LPM walk or MAC hash
-/// remains. Blackhole-active samples are a small minority of the corpus,
+/// Consumes the enrichment pass's precomputed columns: the destination's
+/// blackhole-prefix id (resolved to its interval-holding prefix through
+/// [`ColumnarFlows::active_prefix_of`]), the `active` bitset (was that
+/// prefix's blackhole announced at the sample's timestamp?), the `dropped`
+/// bitset and the interned ingress ASN — no per-sample LPM walk or MAC
+/// hash remains. Blackhole-active samples are a small minority of the corpus,
 /// so the scan iterates the set bits of the `active` words directly
 /// (one `trailing_zeros` per hit, one test per word of misses) instead of
 /// visiting every row. Workers scan whole sealed chunks; per-chunk maps
@@ -132,7 +133,7 @@ pub fn analyze_acceptance(cols: &ColumnarFlows, workers: usize) -> AcceptanceAna
             samples_during_blackhole: 0,
         };
         for c in chunks {
-            let pids = c.active_prefix_ids();
+            let pids = c.dst_prefix_ids();
             let lens = c.packet_lens();
             let ingress = c.ingress_ids();
             for (w, (&active, &dropped_word)) in
@@ -142,7 +143,9 @@ pub fn analyze_acceptance(cols: &ColumnarFlows, workers: usize) -> AcceptanceAna
                 while bits != 0 {
                     let r = (w << 6) | bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let prefix = cols.active_prefix_lookup(pids[r]);
+                    let prefix = cols
+                        .active_prefix_of(pids[r])
+                        .expect("an active row has an interval-holding prefix");
                     let dropped = dropped_word >> (r & 63) & 1 == 1;
                     let len = lens[r];
                     p.samples_during_blackhole += 1;

@@ -15,12 +15,13 @@
 //! * the dense covering blackhole-prefix id for destination and source —
 //!   the very ids [`SampleIndex`](crate::index::SampleIndex) uses, so the
 //!   index build degrades to bucketing precomputed ids;
-//! * the covering *interval-holding* prefix id plus an *active* bit:
-//!   whether the sample arrived while that prefix's blackhole was
-//!   announced. (This is a separate column because
-//!   [`blackhole_intervals`] omits prefixes whose only intervals are
-//!   degenerate, so its prefix set can be a strict subset of the
-//!   announcement set the sample index is keyed by.)
+//! * an *active* bit: whether the sample arrived while the longest
+//!   interval-holding prefix covering its destination had an announced
+//!   blackhole. That prefix is read through the destination id
+//!   ([`ColumnarFlows::active_prefix_of`]): every interval-holding prefix
+//!   is a blackholed prefix, so it is the longest interval-holding
+//!   ancestor-or-self of the `dst_pid` prefix — one table entry per
+//!   blackhole id, not a column per row.
 //!
 //! The boolean per-sample facts (fragment, dropped, active) are **bitset
 //! columns**: one `u64` word per 64 samples, bit `r & 63` of word `r >> 6`
@@ -70,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtbh_bgp::{blackhole_intervals, UpdateLog};
 use rtbh_fabric::{FlowLog, FlowSample};
-use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, Prefix, PrefixTrie, Protocol, Timestamp};
+use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, Prefix, Protocol, Timestamp};
 
 use crate::index::{compile_blackhole_prefixes, MacResolver, OriginTable};
 use crate::shard;
@@ -83,7 +84,7 @@ pub const NONE: u32 = u32::MAX;
 /// `docs/CHUNK_ABI.md` (a unit test asserts the two agree).
 pub mod abi {
     /// Version of the in-memory chunk layout this module implements.
-    pub const ABI_VERSION: u32 = 1;
+    pub const ABI_VERSION: u32 = 2;
     /// Default chunk capacity (rows per chunk), a power of two.
     pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
     /// Smallest accepted chunk capacity; requests below are clamped up.
@@ -96,7 +97,7 @@ pub mod abi {
     /// `(name, element width in bytes)` of every value column, in ABI
     /// order. Id columns use [`super::NONE`] (`u32::MAX`) as the "no
     /// value" sentinel.
-    pub const VALUE_COLUMNS: [(&str, usize); 13] = [
+    pub const VALUE_COLUMNS: [(&str, usize); 12] = [
         ("at", 8),
         ("src_ip", 4),
         ("dst_ip", 4),
@@ -109,7 +110,6 @@ pub mod abi {
         ("origin", 4),
         ("dst_pid", 4),
         ("src_pid", 4),
-        ("active_pid", 4),
     ];
     /// Names of the per-flag bitset columns, in ABI order.
     pub const FLAG_COLUMNS: [&str; 3] = ["fragment", "dropped", "active"];
@@ -185,7 +185,6 @@ pub struct SealedChunk {
     origin: Vec<u32>,
     dst_pid: Vec<u32>,
     src_pid: Vec<u32>,
-    active_pid: Vec<u32>,
     fragment_bits: Vec<u64>,
     dropped_bits: Vec<u64>,
     active_bits: Vec<u64>,
@@ -303,14 +302,6 @@ impl SealedChunk {
         &self.src_pid
     }
 
-    /// Ids (into [`ColumnarFlows::active_prefixes`]) of the
-    /// interval-holding prefix covering each destination ([`NONE`] where
-    /// uncovered).
-    #[inline]
-    pub fn active_prefix_ids(&self) -> &[u32] {
-        &self.active_pid
-    }
-
     /// Number of `u64` words in each bitset column:
     /// `(len + 63) / 64`.
     #[inline]
@@ -394,9 +385,6 @@ pub struct ChunkRow {
     /// Dense blackhole-prefix id covering the source ([`NONE`] =
     /// uncovered).
     pub src_pid: u32,
-    /// Id of the interval-holding prefix covering the destination
-    /// ([`NONE`] = uncovered).
-    pub active_pid: u32,
     /// Was the sample an IP fragment?
     pub fragment: bool,
     /// Was the sample delivered to the blackhole next hop?
@@ -404,6 +392,41 @@ pub struct ChunkRow {
     /// Did the sample arrive during an active blackhole of its covering
     /// prefix?
     pub active: bool,
+}
+
+impl ChunkRow {
+    /// The row of one sample: the sample's own fields, its member and
+    /// origin ASNs interned against `asns` (an [`asn_table`] over the same
+    /// `resolver` and `origins`), and the caller's prefix ids and activity
+    /// bit — the only values the batch build and the live ring derive
+    /// differently.
+    pub fn enrich(
+        s: &FlowSample,
+        asns: &[Asn],
+        resolver: &MacResolver,
+        origins: &OriginTable,
+        dst_pid: u32,
+        src_pid: u32,
+        active: bool,
+    ) -> Self {
+        Self {
+            at: s.at.as_millis(),
+            src_ip: s.src_ip.to_u32(),
+            dst_ip: s.dst_ip.to_u32(),
+            src_port: s.src_port,
+            dst_port: s.dst_port,
+            protocol: s.protocol.number(),
+            packet_len: u32::from(s.packet_len),
+            ingress: intern_asn(asns, resolver.handover(s)),
+            egress: intern_asn(asns, resolver.egress(s)),
+            origin: intern_asn(asns, origins.origin_of(s.src_ip)),
+            dst_pid,
+            src_pid,
+            fragment: s.fragment,
+            dropped: s.is_dropped(),
+            active,
+        }
+    }
 }
 
 /// Work-in-progress columns of one chunk; [`ChunkBuilder::seal`] freezes
@@ -432,7 +455,6 @@ impl ChunkBuilder {
                 origin: Vec::with_capacity(rows),
                 dst_pid: Vec::with_capacity(rows),
                 src_pid: Vec::with_capacity(rows),
-                active_pid: Vec::with_capacity(rows),
                 fragment_bits: vec![0; words],
                 dropped_bits: vec![0; words],
                 active_bits: vec![0; words],
@@ -471,7 +493,6 @@ impl ChunkBuilder {
         self.chunk.origin.push(row.origin);
         self.chunk.dst_pid.push(row.dst_pid);
         self.chunk.src_pid.push(row.src_pid);
-        self.chunk.active_pid.push(row.active_pid);
     }
 
     fn seal(mut self) -> SealedChunk {
@@ -503,8 +524,9 @@ pub struct ColumnarFlows {
     cap_shift: u32,
     /// Sorted, deduplicated ASN intern table.
     asns: Vec<Asn>,
-    /// Interval-holding prefixes, in `BTreeMap` (prefix) order.
-    active_prefixes: Vec<Prefix>,
+    /// Per blackhole-prefix id (`dst_pid`): the longest interval-holding
+    /// prefix containing that prefix, if any.
+    activity: Vec<Option<Prefix>>,
     buckets: TimeBuckets,
     /// Window-query observability counters (not part of the value: cloned
     /// as a snapshot, ignored by equality, never serialized).
@@ -548,7 +570,7 @@ impl Clone for ColumnarFlows {
             len: self.len,
             cap_shift: self.cap_shift,
             asns: self.asns.clone(),
-            active_prefixes: self.active_prefixes.clone(),
+            activity: self.activity.clone(),
             buckets: self.buckets.clone(),
             stats: self.stats.clone(),
         }
@@ -564,7 +586,7 @@ impl PartialEq for ColumnarFlows {
             && self.cap_shift == other.cap_shift
             && self.chunks == other.chunks
             && self.asns == other.asns
-            && self.active_prefixes == other.active_prefixes
+            && self.activity == other.activity
             && self.buckets == other.buckets
     }
 }
@@ -831,7 +853,6 @@ impl ChunkRing {
                 ("origin", c.origin_ids().len()),
                 ("dst_pid", c.dst_prefix_ids().len()),
                 ("src_pid", c.src_prefix_ids().len()),
-                ("active_pid", c.active_prefix_ids().len()),
             ] {
                 assert_eq!(len, c.len(), "{name} column length out of sync");
             }
@@ -921,56 +942,45 @@ impl ColumnarFlows {
     ) -> EnrichedBuild {
         let (blackholes, blackhole_prefixes) = compile_blackhole_prefixes(updates);
 
-        // Interval-holding prefixes: acceptance/provenance reason about
-        // *activity*, which only prefixes with non-degenerate intervals
-        // have. Flatten the BTreeMap into id-indexed tables + an LPM.
+        // Activity is defined by the longest *interval-holding* prefix
+        // covering the destination (prefixes whose intervals are all
+        // degenerate have none). Interval-holding prefixes are blackholed
+        // prefixes, so that prefix is the longest interval-holding
+        // ancestor-or-self of the destination's `dst_pid` prefix: walk each
+        // blackholed prefix up its supernets, at most 33 lookups.
         let intervals = blackhole_intervals(updates.updates().iter(), corpus_end);
-        let mut active_prefixes = Vec::with_capacity(intervals.len());
-        let mut active_intervals: Vec<Vec<Interval>> = Vec::with_capacity(intervals.len());
-        let mut trie = PrefixTrie::new();
-        for (p, ivs) in intervals {
-            trie.insert(p, active_prefixes.len());
-            active_prefixes.push(p);
-            active_intervals.push(ivs);
-        }
-        let activity = FrozenLpm::from_trie(&trie);
+        let activity: Vec<Option<(Prefix, &[Interval])>> = blackhole_prefixes
+            .iter()
+            .map(|&p| {
+                std::iter::successors(Some(p), |q| q.supernet())
+                    .find_map(|q| intervals.get(&q).map(|ivs| (q, ivs.as_slice())))
+            })
+            .collect();
 
         let asns = asn_table(resolver, origins);
-        let pid = |lpm: &FrozenLpm<usize>, addr: Ipv4Addr| -> u32 {
-            lpm.longest_match(addr).map_or(NONE, |(_, &id)| id as u32)
+        let pid = |addr: Ipv4Addr| -> u32 {
+            blackholes
+                .longest_match(addr)
+                .map_or(NONE, |(_, &id)| id as u32)
         };
 
         let seal = |start: usize, samples: &[FlowSample]| -> SealedChunk {
             let mut b = ChunkBuilder::new(start, samples.len());
             for s in samples.iter() {
-                let mut active = false;
-                let active_pid = match activity.longest_match(s.dst_ip) {
-                    Some((_, &aid)) => {
-                        let ivs = &active_intervals[aid];
+                let dst_pid = pid(s.dst_ip);
+                // `NONE` is past the end of the table, so `get` misses.
+                let active = activity
+                    .get(dst_pid as usize)
+                    .copied()
+                    .flatten()
+                    .is_some_and(|(_, ivs)| {
                         let idx = ivs.partition_point(|iv| iv.start <= s.at);
-                        active = idx > 0 && ivs[idx - 1].contains(s.at);
-                        aid as u32
-                    }
-                    None => NONE,
-                };
-                b.push_row(ChunkRow {
-                    at: s.at.as_millis(),
-                    src_ip: s.src_ip.to_u32(),
-                    dst_ip: s.dst_ip.to_u32(),
-                    src_port: s.src_port,
-                    dst_port: s.dst_port,
-                    protocol: s.protocol.number(),
-                    packet_len: u32::from(s.packet_len),
-                    ingress: intern_asn(&asns, resolver.handover(s)),
-                    egress: intern_asn(&asns, resolver.egress(s)),
-                    origin: intern_asn(&asns, origins.origin_of(s.src_ip)),
-                    dst_pid: pid(&blackholes, s.dst_ip),
-                    src_pid: pid(&blackholes, s.src_ip),
-                    active_pid,
-                    fragment: s.fragment,
-                    dropped: s.is_dropped(),
-                    active,
-                });
+                        idx > 0 && ivs[idx - 1].contains(s.at)
+                    });
+                let src_pid = pid(s.src_ip);
+                b.push_row(ChunkRow::enrich(
+                    s, &asns, resolver, origins, dst_pid, src_pid, active,
+                ));
             }
             b.seal()
         };
@@ -1005,7 +1015,7 @@ impl ColumnarFlows {
                 len: n,
                 cap_shift,
                 asns,
-                active_prefixes,
+                activity: activity.iter().map(|a| a.map(|(p, _)| p)).collect(),
                 buckets,
                 stats: WindowStats::default(),
             },
@@ -1176,20 +1186,17 @@ impl ColumnarFlows {
     #[inline]
     pub fn active_prefix(&self, i: usize) -> Option<(Prefix, bool)> {
         let (c, r) = self.loc(i);
-        let pid = c.active_pid[r];
-        (pid != NONE).then(|| (self.active_prefixes[pid as usize], c.active(r)))
+        self.active_prefix_of(c.dst_pid[r])
+            .map(|p| (p, c.active(r)))
     }
 
-    /// Resolves an interval-holding prefix id (from an `active_pid`
-    /// column) to its prefix.
+    /// The longest interval-holding prefix containing the blackholed
+    /// prefix with id `dst_pid` (from a `dst_pid` column) — the prefix an
+    /// `active` bit refers to. `None` when no such prefix exists or
+    /// `dst_pid` is [`NONE`].
     #[inline]
-    pub fn active_prefix_lookup(&self, pid: u32) -> Prefix {
-        self.active_prefixes[pid as usize]
-    }
-
-    /// The interval-holding prefixes, indexed by `active_pid`.
-    pub fn active_prefixes(&self) -> &[Prefix] {
-        &self.active_prefixes
+    pub fn active_prefix_of(&self, dst_pid: u32) -> Option<Prefix> {
+        self.activity.get(dst_pid as usize).copied().flatten()
     }
 
     /// The sorted ASN intern table.
@@ -1502,6 +1509,44 @@ mod tests {
         );
     }
 
+    /// A /32 announced and withdrawn in the same millisecond holds only a
+    /// degenerate interval, so activity falls through to the covering /24
+    /// even though the /32 is the destination's blackhole prefix.
+    #[test]
+    fn degenerate_more_specific_reads_activity_from_its_covering_prefix() {
+        let updates = UpdateLog::from_updates(vec![
+            update(0, "10.0.0.0/24", UpdateKind::Announce),
+            update(10, "10.0.0.7/32", UpdateKind::Announce),
+            update(10, "10.0.0.7/32", UpdateKind::Withdraw),
+            update(50, "10.0.0.0/24", UpdateKind::Withdraw),
+        ]);
+        let flows = FlowLog::from_samples(vec![
+            sample(20, "20.1.0.5", "10.0.0.7", true),
+            sample(60, "20.1.0.5", "10.0.0.7", false),
+        ]);
+        let origins = OriginTable::build(&[]);
+        let built =
+            ColumnarFlows::build_enriched(&updates, &flows, &test_resolver(), &origins, ts(100), 1);
+        let cols = &built.columns;
+        let p24: Prefix = "10.0.0.0/24".parse().unwrap();
+        let p32: Prefix = "10.0.0.7/32".parse().unwrap();
+        let id32 = built
+            .blackhole_prefixes
+            .iter()
+            .position(|&p| p == p32)
+            .unwrap();
+        assert_eq!(cols.chunks()[0].dst_prefix_ids(), [id32 as u32; 2]);
+        assert_eq!(cols.active_prefix_of(id32 as u32), Some(p24));
+        assert_eq!(cols.active_prefix(0), Some((p24, true)));
+        assert_eq!(cols.active_prefix(1), Some((p24, false)));
+
+        let acceptance = crate::acceptance::analyze_acceptance(cols, 1);
+        assert_eq!(acceptance.samples_during_blackhole, 1);
+        assert_eq!(acceptance.by_prefix[&p24].dropped_packets, 1);
+        assert!(!acceptance.by_prefix.contains_key(&p32));
+        assert_eq!(acceptance.by_length[&24].packets(), 1);
+    }
+
     #[test]
     fn build_is_worker_count_invariant() {
         let mins: Vec<i64> = (0..157).map(|i| i % 97).collect();
@@ -1722,17 +1767,10 @@ mod tests {
         assert_eq!(widths["dst_port"], size_of::<u16>());
         assert_eq!(widths["protocol"], size_of::<u8>());
         assert_eq!(widths["packet_len"], size_of::<u32>());
-        for id_col in [
-            "ingress",
-            "egress",
-            "origin",
-            "dst_pid",
-            "src_pid",
-            "active_pid",
-        ] {
+        for id_col in ["ingress", "egress", "origin", "dst_pid", "src_pid"] {
             assert_eq!(widths[id_col], size_of::<u32>(), "{id_col}");
         }
-        assert_eq!(abi::VALUE_COLUMNS.len(), 13);
+        assert_eq!(abi::VALUE_COLUMNS.len(), 12);
         assert_eq!(abi::FLAG_WORD_BITS, u64::BITS as usize);
         assert!(abi::DEFAULT_CHUNK_CAPACITY.is_power_of_two());
         assert!(abi::MIN_CHUNK_CAPACITY.is_power_of_two());
@@ -1794,7 +1832,6 @@ mod tests {
             origin: NONE,
             dst_pid: NONE,
             src_pid: NONE,
-            active_pid: NONE,
             fragment: ms % 3 == 0,
             dropped: ms % 2 == 0,
             active: false,
@@ -1842,25 +1879,13 @@ mod tests {
         let batch =
             ColumnarFlows::from_log_with_capacity(&FlowLog::from_samples(samples.clone()), 64);
         let mut ring = ChunkRing::new(64);
+        let resolver = MacResolver::from_map(BTreeMap::new());
+        let origins = OriginTable::build(&[]);
+        let asns = asn_table(&resolver, &origins);
         for s in &samples {
-            ring.push(ChunkRow {
-                at: s.at.as_millis(),
-                src_ip: s.src_ip.to_u32(),
-                dst_ip: s.dst_ip.to_u32(),
-                src_port: s.src_port,
-                dst_port: s.dst_port,
-                protocol: s.protocol.number(),
-                packet_len: u32::from(s.packet_len),
-                ingress: NONE,
-                egress: NONE,
-                origin: NONE,
-                dst_pid: NONE,
-                src_pid: NONE,
-                active_pid: NONE,
-                fragment: s.fragment,
-                dropped: s.is_dropped(),
-                active: false,
-            });
+            ring.push(ChunkRow::enrich(
+                s, &asns, &resolver, &origins, NONE, NONE, false,
+            ));
         }
         ring.seal_open();
         ring.check_invariants();

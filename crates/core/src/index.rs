@@ -104,11 +104,6 @@ impl SampleIndex {
         self.lpm.get(prefix).copied()
     }
 
-    /// The most specific blackholed prefix covering an address.
-    pub fn covering(&self, addr: Ipv4Addr) -> Option<(Prefix, usize)> {
-        self.lpm.longest_match(addr).map(|(p, &id)| (p, id))
-    }
-
     /// Sample indices towards a prefix (longest-prefix matched), time-sorted.
     pub fn towards(&self, id: usize) -> &[u32] {
         &self.towards[id]
@@ -314,8 +309,6 @@ mod tests {
         assert_eq!(idx.towards(id24).len(), 1);
         assert_eq!(idx.from(id32).len(), 1);
         assert_eq!(idx.from(id24).len(), 0);
-        let (covering, _) = idx.covering("10.0.0.7".parse().unwrap()).unwrap();
-        assert_eq!(covering, "10.0.0.7/32".parse().unwrap());
     }
 
     #[test]

@@ -62,7 +62,7 @@ use rtbh_stats::OffsetVotes;
 
 use crate::classify::{classify_use_case, UseCase};
 use crate::clean::CleanReport;
-use crate::columns::{asn_table, intern_asn, ChunkRing, ChunkRow, NONE};
+use crate::columns::{asn_table, ChunkRing, ChunkRow, NONE};
 use crate::corpus::Corpus;
 use crate::index::{MacResolver, OriginTable};
 use crate::pipeline::{Analyzer, AnalyzerConfig, FullReport};
@@ -613,27 +613,15 @@ impl StreamAnalyzer {
                 }
             }
         }
-        self.ring.push(ChunkRow {
-            at: s.at.as_millis(),
-            src_ip: s.src_ip.to_u32(),
-            dst_ip: s.dst_ip.to_u32(),
-            src_port: s.src_port,
-            dst_port: s.dst_port,
-            protocol: s.protocol.number(),
-            packet_len: u32::from(s.packet_len),
-            ingress: intern_asn(&self.asns, self.resolver.handover(&s)),
-            egress: intern_asn(&self.asns, self.resolver.egress(&s)),
-            origin: intern_asn(&self.asns, self.origins.origin_of(s.src_ip)),
-            dst_pid: covering.map_or(NONE, |id| id as u32),
-            src_pid: src_cov.map_or(NONE, |id| id as u32),
-            // Live state has one dense id space (prefixes-seen-so-far), so
-            // the activity id coincides with the covering id — a documented
-            // divergence from the batch store's interval-holding table.
-            active_pid: covering.map_or(NONE, |id| id as u32),
-            fragment: s.fragment,
-            dropped: s.is_dropped(),
+        self.ring.push(ChunkRow::enrich(
+            &s,
+            &self.asns,
+            &self.resolver,
+            &self.origins,
+            covering.map_or(NONE, |id| id as u32),
+            src_cov.map_or(NONE, |id| id as u32),
             active,
-        });
+        ));
         self.flows.push(s);
     }
 

@@ -355,6 +355,16 @@ mod tests {
         assert_eq!(a.truth.events, b.truth.events);
     }
 
+    /// With this seed one amplification attack draws a reflector set no
+    /// origin joins; the planner must redraw it instead of handing the
+    /// traffic generator an attack with no amplifiers.
+    #[test]
+    fn empty_reflector_draw_is_redrawn() {
+        let mut config = ScenarioConfig::tiny();
+        config.seed = 0xf1bc_c37a_e54b_8b99;
+        assert!(!run(&config).corpus.flows.is_empty());
+    }
+
     #[test]
     fn different_seed_differs() {
         let a = tiny_run();

@@ -800,7 +800,13 @@ impl<'a> Planner<'a> {
                     vectors.push(v);
                 }
             }
-            let drawn = self.pool.draw_attack_set(&mut self.rng);
+            // An attack needs reflectors: redraw the rare set no origin
+            // joined. Every origin joins with positive probability, so this
+            // ends, and only an empty draw consumes extra randomness.
+            let mut drawn = self.pool.draw_attack_set(&mut self.rng);
+            while drawn.is_empty() {
+                drawn = self.pool.draw_attack_set(&mut self.rng);
+            }
             let amplifiers = self.maybe_concentrate(drawn);
             let fragment_share = if self.rng.gen_bool(0.12) {
                 self.rng.gen_range(0.04..0.10)

@@ -121,6 +121,34 @@ pub fn arb_update_log<R: Rng>(rng: &mut R, max_len: usize) -> UpdateLog {
     UpdateLog::from_updates((0..n).map(|_| arb_update(rng)).collect())
 }
 
+/// A pool of nested prefixes: 1–4 random roots (/8–/24), each with a
+/// chain of more-specifics inside it, often down to a /32 host — the
+/// covered more-specifics longest-prefix matching has to get right.
+pub fn arb_nested_prefixes<R: Rng>(rng: &mut R) -> Vec<Prefix> {
+    let mut pool = Vec::new();
+    for _ in 0..rng.gen_range(1..=4usize) {
+        let mut prefix =
+            Prefix::new(arb_addr(rng), rng.gen_range(8..=24u8)).expect("len <= 32 is always valid");
+        pool.push(prefix);
+        while prefix.len() < 32 && rng.gen_bool(0.7) {
+            let len = rng.gen_range(prefix.len() + 1..=32u8);
+            let inner = prefix.addr_at(rng.gen());
+            prefix = Prefix::new(inner, len).expect("len <= 32 is always valid");
+            pool.push(prefix);
+        }
+    }
+    pool
+}
+
+/// An address inside a `pool` prefix most of the time, anywhere otherwise.
+pub fn arb_addr_near<R: Rng>(rng: &mut R, pool: &[Prefix]) -> Ipv4Addr {
+    if rng.gen_bool(0.8) {
+        pool[rng.gen_range(0..pool.len())].addr_at(rng.gen())
+    } else {
+        arb_addr(rng)
+    }
+}
+
 /// An arbitrary sampled packet.
 pub fn arb_flow_sample<R: Rng>(rng: &mut R) -> FlowSample {
     FlowSample {

@@ -21,7 +21,7 @@ use rtbh_bgp::{BgpUpdate, UpdateLog};
 use rtbh_core::columns::ColumnarFlows;
 use rtbh_core::index::{MacResolver, OriginTable, SampleIndex};
 use rtbh_fabric::FlowLog;
-use rtbh_net::{Community, Ipv4Addr, Prefix, Timestamp};
+use rtbh_net::{Community, Prefix, Timestamp};
 use rtbh_rng::{ChaChaRng, Rng};
 use rtbh_sim::ScenarioConfig;
 use rtbh_testkit::index::{scan_index, ScannedIndex};
@@ -65,33 +65,6 @@ fn assert_matches_scan(
     }
 }
 
-/// A pool of nested prefixes: random roots, each with a chain of
-/// more-specifics down to a `/32` host inside it.
-fn arb_prefix_pool(rng: &mut ChaChaRng) -> Vec<Prefix> {
-    let mut pool = Vec::new();
-    for _ in 0..rng.gen_range(1..=4usize) {
-        let mut prefix = Prefix::new(gen::arb_addr(rng), rng.gen_range(8..=24u8))
-            .expect("len <= 32 is always valid");
-        pool.push(prefix);
-        while prefix.len() < 32 && rng.gen_bool(0.7) {
-            let len = rng.gen_range(prefix.len() + 1..=32u8);
-            let inner = prefix.addr_at(rng.gen());
-            prefix = Prefix::new(inner, len).expect("len <= 32 is always valid");
-            pool.push(prefix);
-        }
-    }
-    pool
-}
-
-/// An address inside a pool prefix most of the time, anywhere otherwise.
-fn arb_target(rng: &mut ChaChaRng, pool: &[Prefix]) -> Ipv4Addr {
-    if rng.gen_bool(0.8) {
-        pool[rng.gen_range(0..pool.len())].addr_at(rng.gen())
-    } else {
-        gen::arb_addr(rng)
-    }
-}
-
 fn arb_updates(rng: &mut ChaChaRng, pool: &[Prefix]) -> UpdateLog {
     let mut updates: Vec<BgpUpdate> = (0..rng.gen_range(0..=24usize))
         .map(|_| {
@@ -115,8 +88,8 @@ fn arb_flows(rng: &mut ChaChaRng, pool: &[Prefix]) -> FlowLog {
             .map(|_| {
                 let mut s = gen::arb_flow_sample(rng);
                 s.at = Timestamp::from_millis(rng.gen_range(0..SPAN_MS));
-                s.dst_ip = arb_target(rng, pool);
-                s.src_ip = arb_target(rng, pool);
+                s.dst_ip = gen::arb_addr_near(rng, pool);
+                s.src_ip = gen::arb_addr_near(rng, pool);
                 s
             })
             .collect(),
@@ -134,7 +107,7 @@ fn from_columns_matches_aos_scan() {
     let resolver = MacResolver::from_map(BTreeMap::new());
     let origins = OriginTable::build(&[]);
     target.run(40, |_, rng| {
-        let pool = arb_prefix_pool(rng);
+        let pool = gen::arb_nested_prefixes(rng);
         let updates = arb_updates(rng, &pool);
         let flows = arb_flows(rng, &pool);
         let oracle = scan_index(&updates, &flows);

@@ -129,6 +129,21 @@ fn write_failed(path: &Path, e: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// Writes human-readable output to stdout. A closed pipe (`rtbh info … |
+/// head`) is a normal way for the reader to stop consuming, not an error:
+/// the text is dropped and the command carries on, so its file outputs are
+/// still written and it exits 0. Any other write error exits 1.
+fn emit(text: impl AsRef<[u8]>) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_ref()).and_then(|()| out.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("write stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Writes an output file, exiting through [`write_failed`] on error.
 fn write_output(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) {
     let path = path.as_ref();
@@ -147,26 +162,30 @@ fn load(path: &str) -> rtbh::core::Corpus {
 fn info(args: Vec<String>) {
     let Some(path) = args.first() else { usage() };
     let corpus = load(path);
-    println!("period:         {}", corpus.period);
-    println!("sampling:       1:{}", corpus.sampling_rate);
-    println!("route server:   {}", corpus.route_server_asn);
-    println!("members:        {}", corpus.members.len());
-    println!(
-        "BGP updates:    {} ({} blackhole announcements)",
+    emit(format!(
+        "period:         {}\n\
+         sampling:       1:{}\n\
+         route server:   {}\n\
+         members:        {}\n\
+         BGP updates:    {} ({} blackhole announcements)\n\
+         flow samples:   {} ({} dropped)\n\
+         route table:    {} prefixes\n\
+         digest:         {:#018x}\n",
+        corpus.period,
+        corpus.sampling_rate,
+        corpus.route_server_asn,
+        corpus.members.len(),
         corpus.updates.len(),
         corpus
             .updates
             .blackholes()
             .filter(|u| u.is_announce())
-            .count()
-    );
-    println!(
-        "flow samples:   {} ({} dropped)",
+            .count(),
         corpus.flows.len(),
-        corpus.flows.dropped().count()
-    );
-    println!("route table:    {} prefixes", corpus.routes.len());
-    println!("digest:         {:#018x}", corpus.digest());
+        corpus.flows.dropped().count(),
+        corpus.routes.len(),
+        corpus.digest()
+    ));
 }
 
 fn stream(args: Vec<String>) {
@@ -211,11 +230,11 @@ fn stream(args: Vec<String>) {
         },
     };
     let run = StreamDriver::new(batch).replay(&corpus, config);
-    print!(
-        "{}",
-        rtbh::core::report::render_report(&run.report, run.analyzer.corpus())
-    );
-    println!();
+    emit(rtbh::core::report::render_report(
+        &run.report,
+        run.analyzer.corpus(),
+    ));
+    emit("\n");
     let ingest_ns = run
         .profile
         .prepare
@@ -223,25 +242,25 @@ fn stream(args: Vec<String>) {
         .find(|s| s.stage == "ingest")
         .map_or(0, |s| s.wall_ns);
     if ingest_ns > 0 {
-        println!(
-            "stream: {} events ingested at {:.2} Mevents/s ({} verdicts journaled, {} late-dropped)",
+        emit(format!(
+            "stream: {} events ingested at {:.2} Mevents/s ({} verdicts journaled, {} late-dropped)\n",
             run.events_fed,
             run.events_fed as f64 / (ingest_ns as f64 / 1e9) / 1e6,
             run.status.verdicts,
             run.status.late_dropped
-        );
+        ));
     }
-    println!(
-        "ring: {} sealed chunks, {} rows retained, {} chunks / {} rows evicted",
+    emit(format!(
+        "ring: {} sealed chunks, {} rows retained, {} chunks / {} rows evicted\n",
         run.status.ring_chunks,
         run.status.ring_rows,
         run.status.ring_evicted_chunks,
         run.status.ring_evicted_rows
-    );
+    ));
     if verify {
         let batch_report = Analyzer::new(corpus, config.analyzer).full();
         if rtbh_json::to_vec_pretty(&run.report) == rtbh_json::to_vec_pretty(&batch_report) {
-            println!("verify: stream report byte-identical to batch");
+            emit("verify: stream report byte-identical to batch\n");
         } else {
             eprintln!("verify FAILED: stream report differs from batch");
             std::process::exit(1);
@@ -363,18 +382,9 @@ fn query(args: Vec<String>) {
         std::process::exit(1);
     });
     match client.request(&request) {
-        Ok(Response::Ok(body)) => {
-            let mut out = std::io::stdout().lock();
-            use std::io::Write as _;
-            // A closed pipe (`rtbh query … | head`) is a normal way for
-            // the reader to stop consuming, not an error.
-            if let Err(e) = out.write_all(&body).and_then(|()| out.write_all(b"\n")) {
-                if e.kind() == std::io::ErrorKind::BrokenPipe {
-                    std::process::exit(0);
-                }
-                eprintln!("write stdout: {e}");
-                std::process::exit(1);
-            }
+        Ok(Response::Ok(mut body)) => {
+            body.push(b'\n');
+            emit(body);
         }
         Ok(Response::Err { code, message }) => {
             eprintln!("server error {code}: {message}");
@@ -414,13 +424,13 @@ fn analyze(args: Vec<String>) {
     let analyzer = Analyzer::new(corpus, config);
     let (report, profile) = analyzer.full_with_profile();
     let headline = report.headline();
-    print!(
-        "{}",
-        rtbh::core::report::render_report(&report, analyzer.corpus())
-    );
+    emit(rtbh::core::report::render_report(
+        &report,
+        analyzer.corpus(),
+    ));
     if timings {
-        println!();
-        print!("{}", profile.render());
+        emit("\n");
+        emit(profile.render());
         // Sealed-chunk shape and window-query behaviour: the counters
         // accumulated over every stage's window queries during the run.
         let cs = analyzer.columns().chunk_stats();
@@ -429,25 +439,25 @@ fn analyze(args: Vec<String>) {
             .iter()
             .find(|s| s.stage == "enrich")
             .map_or(0, |s| s.wall_ns);
-        println!(
-            "chunks: {} x {} rows ({} samples, {:.1}% fill)",
+        emit(format!(
+            "chunks: {} x {} rows ({} samples, {:.1}% fill)\n",
             cs.chunks,
             cs.capacity,
             cs.samples,
             cs.fill * 100.0
-        );
+        ));
         if enrich_ns > 0 {
-            println!(
-                "prepare:enrich sealed {:.2} Msamples/s",
+            emit(format!(
+                "prepare:enrich sealed {:.2} Msamples/s\n",
                 cs.samples as f64 / (enrich_ns as f64 / 1e9) / 1e6
-            );
+            ));
         }
-        println!(
-            "window queries: {} ({} chunk probes, {:.1}% of chunk visits pruned)",
+        emit(format!(
+            "window queries: {} ({} chunk probes, {:.1}% of chunk visits pruned)\n",
             cs.window_queries,
             cs.chunks_probed,
             cs.pruned_ratio * 100.0
-        );
+        ));
         let payload = rtbh_json::Json::Obj(vec![
             ("corpus".to_string(), path.to_json()),
             (

@@ -5,7 +5,7 @@
 //! corrupt/missing corpora (distinct from 1, a crashed pipeline).
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn rtbh(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rtbh"))
@@ -183,6 +183,42 @@ fn analyze_and_stream_print_the_same_corpus_section() {
     let batch = corpus_section("analyze");
     assert!(batch.contains(" flow samples "), "{batch}");
     assert_eq!(batch, corpus_section("stream"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that stops early (`rtbh info corpus | head -1`) closes stdout
+/// under the writer. That is not an error: every printing command exits 0,
+/// never panics, and still writes its file outputs.
+#[test]
+fn closed_stdout_exits_0() {
+    let dir = scratch_dir("closed-stdout");
+    let corpus = dir.join("corpus.rtbh");
+    let corpus_str = corpus.to_str().unwrap();
+    let out = rtbh(&["simulate", "--tiny", "--seed", "42", corpus_str]);
+    assert_eq!(out.status.code(), Some(0), "simulate failed: {out:?}");
+
+    let json = dir.join("headline.json");
+    let json_str = json.to_str().unwrap();
+    for args in [
+        vec!["info", corpus_str],
+        vec!["analyze", corpus_str, "--json", json_str],
+        vec!["stream", corpus_str, "--verify"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rtbh"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn rtbh");
+        // Drop the only read end before the child writes anything.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for rtbh");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "args {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "args {args:?}: {stderr}");
+    }
+    assert!(json.exists(), "analyze --json must still write its file");
 
     std::fs::remove_dir_all(&dir).ok();
 }
