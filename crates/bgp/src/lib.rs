@@ -10,9 +10,9 @@
 //! 3. every receiving peer applies its local **import policy** — crucially,
 //!    default BGP configurations reject prefixes longer than /24, so a /32
 //!    blackhole route needs explicit whitelisting ([`policy`]);
-//! 4. accepted routes enter the peer's **RIB** and win by longest-prefix
-//!    match, redirecting the victim's traffic to the blackhole next-hop
-//!    ([`rib`]).
+//! 4. accepted routes enter the receiving router's view of the fabric's
+//!    one **RIB** and win by longest-prefix match, redirecting the victim's
+//!    traffic to the blackhole next-hop ([`rib`]).
 //!
 //! [`timeline`] reconstructs per-prefix blackhole activity intervals from an
 //! update log — the control-plane side of every correlation in the paper.

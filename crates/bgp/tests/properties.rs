@@ -203,8 +203,9 @@ fn blackhole_intervals_are_sorted_disjoint_non_empty() {
     assert!(open_to_end > 0, "no interval left open to corpus_end");
 }
 
-/// A RIB that accepted a blackhole always reverts on withdraw, and a RIB
-/// that rejected it is never affected.
+/// A router that accepted a blackhole always reverts on withdraw, a router
+/// that rejected it is never affected, and a router that never received
+/// it keeps forwarding throughout.
 #[test]
 fn rib_announce_withdraw_symmetry() {
     let mut rng = rng(seeds::PROP_RIB_SYMMETRY);
@@ -216,21 +217,26 @@ fn rib_announce_withdraw_symmetry() {
             accept_blackhole_32: rng.gen_bool(0.5),
             accept_regular: true,
         };
-        let mut rib = Rib::new(policy);
+        // Router 0 receives the update; router 1 accepts everything but is
+        // not a recipient.
+        let mut rib = Rib::new(vec![policy, ImportPolicy::FULL]);
         // Seed a covering regular route where possible.
         let cover = Prefix::new(prefix.network(), prefix.len().min(24)).unwrap();
-        rib.install_regular(cover, Asn(9), Timestamp::EPOCH);
-        let before = rib.decide(prefix.network());
+        rib.install_regular(cover, Asn(9));
+        let before = rib.decide(0, prefix.network());
+        let bystander = rib.decide(1, prefix.network());
 
         let accepted_expected = policy.accepts_blackhole(prefix);
-        let changed = rib.apply(&update(1, prefix, UpdateKind::Announce));
+        let changed = rib.apply(&update(1, prefix, UpdateKind::Announce), [0]);
         assert_eq!(changed, accepted_expected);
-        rib.apply(&update(2, prefix, UpdateKind::Withdraw));
-        let after = rib.decide(prefix.network());
+        assert_eq!(rib.decide(1, prefix.network()), bystander);
+        rib.apply(&update(2, prefix, UpdateKind::Withdraw), [0]);
+        let after = rib.decide(0, prefix.network());
         assert_eq!(
             before, after,
             "withdraw must restore the pre-announce state"
         );
+        assert_eq!(rib.decide(1, prefix.network()), bystander);
     }
 }
 

@@ -8,9 +8,9 @@
 //! attack's signature is dropped.
 //!
 //! This module bolts a [`rtbh_bgp::FlowSpecTable`] onto the fabric: the
-//! ingress pipeline consults the ACL *before* the per-router RIB, which is
-//! exactly the deployment model (the fabric filters, regardless of member
-//! BGP policy).
+//! ingress pipeline consults the ACL *before* the ingress router's routes,
+//! which is exactly the deployment model (the fabric filters, regardless of
+//! member BGP policy).
 
 use rtbh_bgp::{FlowAction, FlowSpecTable};
 use rtbh_net::{Ipv4Addr, MacAddr, Port, Protocol};

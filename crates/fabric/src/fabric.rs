@@ -1,8 +1,14 @@
 //! The switching fabric: route distribution and the forwarding decision.
+//!
+//! Every router port of every member is a dense router id in one shared
+//! [`Rib`]: a member's ports are consecutive ids, in port order. A
+//! route-server update is one trie walk plus one policy check per recipient
+//! router, instead of one walk per router.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-use rtbh_bgp::{BgpUpdate, Forwarding};
+use rtbh_bgp::{BgpUpdate, Forwarding, Rib};
 use rtbh_net::{Asn, Ipv4Addr, MacAddr, Prefix, Timestamp};
 
 use crate::member::{Member, MemberId};
@@ -40,8 +46,8 @@ impl ForwardOutcome {
     }
 }
 
-/// The IXP switching fabric: members, their router ports, and the mapping
-/// from route origins to egress members.
+/// The IXP switching fabric: members, their router ports, the routes every
+/// router accepted, and the mapping from route origins to egress members.
 #[derive(Debug, Clone, Default)]
 pub struct Fabric {
     members: Vec<Member>,
@@ -49,9 +55,13 @@ pub struct Fabric {
     /// Which member provides reachability for a given origin AS (members
     /// themselves, plus their customer cones).
     origin_member: BTreeMap<Asn, MemberId>,
+    /// Per member, the router id of its first port.
+    first_router: Vec<usize>,
+    /// The routes of every router port, keyed by router id.
+    rib: Rib,
 }
 
-rtbh_json::impl_json! { struct Fabric { members, by_asn, origin_member } }
+rtbh_json::impl_json! { struct Fabric { members, by_asn, origin_member, first_router, rib } }
 
 impl Fabric {
     /// Builds a fabric from members. Member ids must be dense `0..n` (they
@@ -61,15 +71,21 @@ impl Fabric {
     /// Panics if ids are not dense/ordered or ASNs repeat.
     pub fn new(members: Vec<Member>) -> Self {
         let mut by_asn = BTreeMap::new();
+        let mut first_router = Vec::with_capacity(members.len());
+        let mut policies = Vec::new();
         for (i, m) in members.iter().enumerate() {
             assert_eq!(m.id.0 as usize, i, "member ids must be dense 0..n");
             let prev = by_asn.insert(m.asn, m.id);
             assert!(prev.is_none(), "duplicate member ASN {}", m.asn);
+            first_router.push(policies.len());
+            policies.extend(m.routers.iter().map(|r| r.policy));
         }
         let mut fabric = Self {
             members,
             by_asn,
             origin_member: BTreeMap::new(),
+            first_router,
+            rib: Rib::new(policies),
         };
         // Every member reaches its own AS.
         for m in &fabric.members {
@@ -104,22 +120,26 @@ impl Fabric {
         self.origin_member.get(&origin).copied()
     }
 
+    /// The router ids of `member`'s ports, in port order.
+    fn router_ids(&self, member: MemberId) -> Range<usize> {
+        let i = member.0 as usize;
+        let first = self.first_router[i];
+        first..first + self.members[i].routers.len()
+    }
+
     /// Seeds a regular (non-blackhole) route into every router of every
     /// member and records the origin→egress mapping. This stands in for the
     /// steady-state BGP table without synthesising churn for every prefix.
+    /// The RIB stores no install times, so `_at` is not recorded.
     pub fn seed_regular_route(
         &mut self,
         prefix: Prefix,
         origin: Asn,
         egress: MemberId,
-        at: Timestamp,
+        _at: Timestamp,
     ) {
         self.origin_member.insert(origin, egress);
-        for m in &mut self.members {
-            for r in m.routers_mut() {
-                r.rib.install_regular(prefix, origin, at);
-            }
-        }
+        self.rib.install_regular(prefix, origin);
     }
 
     /// Distributes an update to the given recipient peers: each recipient
@@ -127,22 +147,20 @@ impl Fabric {
     /// its own import policy. Unknown recipient ASNs are ignored (a route
     /// server may list peers that disconnected).
     pub fn distribute(&mut self, update: &BgpUpdate, recipients: &[Asn]) {
-        for peer in recipients {
-            if let Some(&id) = self.by_asn.get(peer) {
-                for r in self.members[id.0 as usize].routers_mut() {
-                    r.rib.apply(update);
-                }
-            }
-        }
+        let routers: Vec<usize> = recipients
+            .iter()
+            .filter_map(|peer| self.by_asn.get(peer))
+            .flat_map(|&id| self.router_ids(id))
+            .collect();
+        self.rib.apply(update, routers);
     }
 
     /// Applies an update directly to one member's routers — used for
     /// bilateral (non-route-server) blackholes, the ~5% of dropped bytes the
     /// paper attributes to "other RTBH sources" (§3.1).
     pub fn apply_bilateral(&mut self, update: &BgpUpdate, member: MemberId) {
-        for r in self.members[member.0 as usize].routers_mut() {
-            r.rib.apply(update);
-        }
+        let routers = self.router_ids(member);
+        self.rib.apply(update, routers);
     }
 
     /// The forwarding decision for a packet handed over by `ingress` member
@@ -156,11 +174,14 @@ impl Fabric {
         ingress_mac: MacAddr,
         dst: Ipv4Addr,
     ) -> ForwardOutcome {
-        let member = self.member(ingress);
-        let router = member
-            .router_by_mac(ingress_mac)
-            .unwrap_or_else(|| member.primary_router());
-        match router.rib.decide(dst) {
+        let port = self
+            .member(ingress)
+            .routers
+            .iter()
+            .position(|r| r.mac == ingress_mac)
+            .unwrap_or(0);
+        let router = self.first_router[ingress.0 as usize] + port;
+        match self.rib.decide(router, dst) {
             Forwarding::Blackholed => ForwardOutcome::Blackholed,
             Forwarding::Forward(origin) => match self.origin_member.get(&origin) {
                 Some(&egress) => ForwardOutcome::Delivered {

@@ -4,11 +4,13 @@
 //! §3.1):
 //!
 //! * [`member`] — IXP members with one or more router ports, each owning a
-//!   MAC address and a policy-filtered RIB. Per-router (not per-AS) RIBs are
+//!   MAC address and an import policy. Per-router (not per-AS) policies are
 //!   what lets the twin reproduce the paper's "inconsistent" ASes whose
 //!   routers disagree about a /32 blackhole;
-//! * [`fabric`] — the forwarding decision: ingress router consults its RIB;
-//!   a winning blackhole route rewrites the destination MAC to the dedicated
+//! * [`fabric`] — route distribution into one shared RIB that records, per
+//!   prefix, which routers accepted which route; and the forwarding
+//!   decision: the ingress router's view of that RIB decides, and a winning
+//!   blackhole route rewrites the destination MAC to the dedicated
 //!   **blackhole MAC** that no port forwards, marking the packet as dropped;
 //! * [`flow`] — IPFIX-style sampled packet records, the data-plane corpus
 //!   (timestamps, MACs, addresses, ports, protocol, length, fragment flag);

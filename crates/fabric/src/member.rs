@@ -1,6 +1,6 @@
 //! IXP members and their router ports.
 
-use rtbh_bgp::{ImportPolicy, Rib};
+use rtbh_bgp::ImportPolicy;
 use rtbh_net::{Asn, MacAddr};
 
 /// A stable, dense identifier for an IXP member.
@@ -12,7 +12,8 @@ rtbh_json::impl_json! { transparent MemberId }
 /// One physical router port a member connects to the fabric.
 ///
 /// Each port has its own MAC (how the paper attributes handover ASes, §5.5)
-/// and its own RIB. Routers of the same member may run different import
+/// and its own import policy; the routes it accepted live in the fabric's
+/// shared RIB. Routers of the same member may run different import
 /// policies — the paper's 13 "inconsistent" top-100 ASes drop part of their
 /// traffic and forward the rest precisely because of such per-router
 /// configuration drift (§4.2).
@@ -20,19 +21,16 @@ rtbh_json::impl_json! { transparent MemberId }
 pub struct RouterPort {
     /// The port's MAC address on the peering LAN.
     pub mac: MacAddr,
-    /// The routes this router accepted.
-    pub rib: Rib,
+    /// The filter this router applies to received routes.
+    pub policy: ImportPolicy,
 }
 
-rtbh_json::impl_json! { struct RouterPort { mac, rib } }
+rtbh_json::impl_json! { struct RouterPort { mac, policy } }
 
 impl RouterPort {
-    /// Creates a port with an empty, policy-filtered RIB.
+    /// Creates a port with the given import policy.
     pub fn new(mac: MacAddr, policy: ImportPolicy) -> Self {
-        Self {
-            mac,
-            rib: Rib::new(policy),
-        }
+        Self { mac, policy }
     }
 }
 
@@ -71,11 +69,6 @@ impl Member {
     pub fn router_by_mac(&self, mac: MacAddr) -> Option<&RouterPort> {
         self.routers.iter().find(|r| r.mac == mac)
     }
-
-    /// Mutable access to all ports (route installation).
-    pub fn routers_mut(&mut self) -> &mut [RouterPort] {
-        &mut self.routers
-    }
 }
 
 #[cfg(test)]
@@ -109,8 +102,8 @@ mod tests {
     #[test]
     fn per_router_policies_can_differ() {
         let m = member();
-        assert!(m.routers[0].rib.policy().accept_blackhole_32);
-        assert!(!m.routers[1].rib.policy().accept_blackhole_32);
+        assert!(m.routers[0].policy.accept_blackhole_32);
+        assert!(!m.routers[1].policy.accept_blackhole_32);
     }
 
     #[test]

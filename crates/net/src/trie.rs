@@ -5,8 +5,11 @@
 //! (blackhole) forwards by **longest prefix match**, which is exactly why an
 //! accepted `/32` RTBH route captures the victim's traffic (paper §2.1).
 //!
-//! Nodes live in a `Vec` arena; removal tombstones values and prunes lazily
-//! on the next structural operation touching the path. The trie is not
+//! Nodes live in a `Vec` arena. Removal only clears the stored value: the
+//! path's nodes stay allocated and are reclaimed by [`PrefixTrie::clear`]
+//! alone, so the arena grows with the number of distinct prefixes ever
+//! inserted. The fabric's one shared RIB keeps that bound at the distinct
+//! announced prefixes, not that number times the routers. The trie is not
 //! self-balancing — IPv4 depth is bounded by 32, so worst-case operations are
 //! O(32).
 
@@ -141,13 +144,35 @@ impl<T> PrefixTrie<T> {
         self.nodes[idx].value.as_mut()
     }
 
+    /// Inserts `make()` for `prefix` unless a value is already stored, then
+    /// returns the stored value: one walk either way.
+    pub fn get_or_insert_with(&mut self, prefix: Prefix, make: impl FnOnce() -> T) -> &mut T {
+        let idx = self.node_for_insert(prefix);
+        let node = &mut self.nodes[idx];
+        if node.value.is_none() {
+            self.len += 1;
+        }
+        node.value.get_or_insert_with(make)
+    }
+
     /// The most specific stored prefix containing `addr`, with its value.
     pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(Prefix, &T)> {
+        self.longest_match_by(addr, |_| true)
+    }
+
+    /// The most specific stored prefix containing `addr` whose value
+    /// satisfies `pred`, with that value. Values failing `pred` are skipped
+    /// as if absent, within the same single walk.
+    pub fn longest_match_by(
+        &self,
+        addr: Ipv4Addr,
+        mut pred: impl FnMut(&T) -> bool,
+    ) -> Option<(Prefix, &T)> {
         let mut best: Option<(Prefix, &T)> = None;
         let mut idx = 0usize;
         let bits = addr.to_u32();
         for depth in 0..=32u8 {
-            if let Some(value) = self.nodes[idx].value.as_ref() {
+            if let Some(value) = self.nodes[idx].value.as_ref().filter(|v| pred(v)) {
                 // Reconstruct the canonical prefix at this depth.
                 let p = Prefix::new(addr, depth).expect("depth <= 32");
                 best = Some((p, value));
@@ -306,6 +331,31 @@ mod tests {
             t.longest_match(a("8.8.8.8")).unwrap(),
             (p("0.0.0.0/0"), &"default")
         );
+    }
+
+    #[test]
+    fn longest_match_by_skips_rejected_values() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.0.0.0/8"), 1);
+        t.insert(p("10.1.0.0/16"), 2);
+        t.insert(p("10.1.2.0/24"), 3);
+        let odd = t.longest_match_by(a("10.1.2.3"), |v| v % 2 == 1);
+        assert_eq!(odd, Some((p("10.1.2.0/24"), &3)));
+        let even = t.longest_match_by(a("10.1.2.3"), |v| v % 2 == 0);
+        assert_eq!(even, Some((p("10.1.0.0/16"), &2)));
+        assert_eq!(t.longest_match_by(a("10.1.2.3"), |_| false), None);
+    }
+
+    #[test]
+    fn get_or_insert_with_counts_new_prefixes_once() {
+        let mut t = PrefixTrie::new();
+        *t.get_or_insert_with(p("10.0.0.0/8"), || 1) += 10;
+        *t.get_or_insert_with(p("10.0.0.0/8"), || 100) += 10;
+        assert_eq!(t.get(p("10.0.0.0/8")), Some(&21));
+        assert_eq!(t.len(), 1);
+        t.remove(p("10.0.0.0/8"));
+        assert_eq!(*t.get_or_insert_with(p("10.0.0.0/8"), || 5), 5);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

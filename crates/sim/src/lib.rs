@@ -1,6 +1,6 @@
 //! The scenario engine: a deterministic IXP digital twin.
 //!
-//! This crate composes the substrates — [`rtbh_bgp`] (route server, RIBs),
+//! This crate composes the substrates — [`rtbh_bgp`] (route server, RIB),
 //! [`rtbh_fabric`] (switching, sampling), [`rtbh_traffic`] (workloads) and
 //! [`rtbh_peeringdb`] (AS registry) — into a full measurement period like the
 //! paper's 104 days, and emits:

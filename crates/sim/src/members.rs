@@ -183,7 +183,7 @@ mod tests {
             let accepts: Vec<bool> = m
                 .routers
                 .iter()
-                .map(|r| r.rib.policy().accept_blackhole_32)
+                .map(|r| r.policy.accept_blackhole_32)
                 .collect();
             assert!(
                 accepts.iter().any(|a| *a) && accepts.iter().any(|a| !*a),

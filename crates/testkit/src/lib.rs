@@ -20,7 +20,8 @@
 //!   the wire codecs, parse→write→parse fixpoints for JSON, and
 //!   `FrozenLpm`-vs-`PrefixTrie` lookup equivalence; [`offset`] keeps the
 //!   naive clock-offset grid scan that the shipped vote kernel is held to,
-//!   and [`index`] the per-sample LPM scan the shipped index build is held
+//!   [`index`] the per-sample LPM scan the shipped index build is held to,
+//!   and [`rib`] the per-router route maps the fabric's shared RIB is held
 //!   to.
 //!
 //! Plus [`streamgen`] — interleaved update/sample event feeds with
@@ -43,6 +44,7 @@ pub mod index;
 pub mod mutate;
 pub mod offset;
 pub mod oracle;
+pub mod rib;
 pub mod seeds;
 pub mod snapshot;
 pub mod streamgen;

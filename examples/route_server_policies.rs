@@ -95,22 +95,29 @@ fn main() {
     }
 
     println!("\n== 3. the RIB picks the blackhole by longest-prefix match ==\n");
-    let mut rib = Rib::new(ImportPolicy::WHITELIST_32);
-    rib.install_regular("203.0.113.0/24".parse().unwrap(), Asn(1), Timestamp::EPOCH);
-    rib.apply(&blackhole("203.0.113.7/32", vec![]));
+    // One table for two routers of one member: router 0 whitelists /32,
+    // router 1 runs the vendor default (§4.2's "inconsistent" member).
+    let mut rib = Rib::new(vec![ImportPolicy::WHITELIST_32, ImportPolicy::DEFAULT_24]);
+    rib.install_regular("203.0.113.0/24".parse().unwrap(), Asn(1));
+    rib.apply(&blackhole("203.0.113.7/32", vec![]), [0, 1]);
     for addr in ["203.0.113.7", "203.0.113.8"] {
         let ip: Ipv4Addr = addr.parse().unwrap();
-        println!("{addr:<14} → {:?}", rib.decide(ip));
+        println!(
+            "{addr:<14} → router 0: {:?}, router 1: {:?}",
+            rib.decide(0, ip),
+            rib.decide(1, ip)
+        );
     }
     println!(
-        "\nThe /32 blackhole captures only the victim; its /24 neighbours stay\n\
-         reachable — and a withdraw restores the victim instantly:"
+        "\nThe /32 blackhole captures only the victim, and only on the router\n\
+         that whitelisted /32; its /24 neighbours stay reachable — and a\n\
+         withdraw restores the victim instantly:"
     );
     let mut withdraw = blackhole("203.0.113.7/32", vec![]);
     withdraw.kind = UpdateKind::Withdraw;
-    rib.apply(&withdraw);
+    rib.apply(&withdraw, [0, 1]);
     println!(
-        "after withdraw: 203.0.113.7 → {:?}",
-        rib.decide("203.0.113.7".parse().unwrap())
+        "after withdraw: 203.0.113.7 → router 0: {:?}",
+        rib.decide(0, "203.0.113.7".parse().unwrap())
     );
 }

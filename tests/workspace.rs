@@ -123,3 +123,32 @@ fn analyzer_offset_correction_improves_alignment() {
         alignment.estimated_offset()
     );
 }
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Pins the scale-0.05 corpus, the smallest preset past the tiny golden
+/// scenario and one whose log carries targeted blackholes. `Corpus::digest`
+/// hashes each sample's drop bit but not its MACs; the FNV-1a of the
+/// encoded flow log covers both MACs, so a wrong egress origin out of the
+/// fabric's RIB changes it.
+#[test]
+fn scale_005_corpus_is_pinned() {
+    let corpus = rtbh::sim::run(&ScenarioConfig::scaled(0.05)).corpus;
+    // `0:PEER` and `0:RS` are the distribution-control communities.
+    let targeted = corpus
+        .updates
+        .updates()
+        .iter()
+        .any(|u| u.communities.iter().any(|c| c.to_u32() >> 16 == 0));
+    assert!(targeted, "no targeted blackhole in the scale-0.05 log");
+    assert_eq!(corpus.updates.len(), 1889);
+    assert_eq!(corpus.flows.len(), 155_264);
+    assert_eq!(corpus.digest(), 0x42d9_38a2_3cff_4c7e);
+    let flows = fnv1a(&rtbh::fabric::encode_flow_log(&corpus.flows));
+    assert_eq!(flows, 0x2623_3206_28a6_6ec5, "sample bytes (MACs included)");
+}
